@@ -9,6 +9,7 @@ small enough for both.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,6 +30,11 @@ DEFAULT_MEMO_CAP = 1 << 22
 _CHUNK_BITS = 18
 
 PROBABILITY_BAND = 1e-12  # pre-clamp tolerance on accumulated sums
+
+# byte b with its bit order reversed
+_BIT_REVERSED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,23 @@ def reachable_set_distribution(
 
 
 def _accumulate_row_masses(rows: np.ndarray, weights: np.ndarray, acc: dict[int, float]) -> None:
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-    sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
-    for row, s in zip(uniq, sums):
-        mask = 0
-        for j in np.nonzero(row)[0]:
-            mask |= 1 << int(j)
-        acc[mask] = acc.get(mask, 0.0) + float(s)
+    """Add each row's weight to acc[mask], bit j of mask set when column j is.
+
+    Rows are packed first column to highest bit, so packed codes sort like
+    the bool rows and masks enter acc in lexicographic row order.
+    """
+    codes = np.packbits(rows, axis=1)
+    if codes.shape[1] == 1:
+        code = codes[:, 0]
+        present = np.flatnonzero(np.bincount(code, minlength=256))
+        sums = np.bincount(code, weights=weights, minlength=256)[present]
+        masks = _BIT_REVERSED[present].tolist()
+    else:
+        uniq, inv = np.unique(codes, axis=0, return_inverse=True)
+        sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
+        masks = [int.from_bytes(_BIT_REVERSED[row].tobytes(), "little") for row in uniq]
+    for mask, s in zip(masks, sums.tolist()):
+        acc[mask] = acc.get(mask, 0.0) + s
 
 
 class ExactEngine:
@@ -176,7 +192,10 @@ class ExactEngine:
         src = _check_sources(self.graph, sources)
         _check_vertex(self.graph, target)
         remaining = self._within_mask(within, src)
-        return self._conn(remaining, _to_mask(src), target)
+        try:
+            return self._conn(remaining, _to_mask(src), target)
+        except RecursionError:
+            raise _depth_limit_error() from None
 
     def joint(
         self,
@@ -189,7 +208,10 @@ class ExactEngine:
         _check_vertex(self.graph, target_a)
         _check_vertex(self.graph, target_b)
         remaining = self._within_mask(within, src)
-        return self._joint(remaining, _to_mask(src), target_a, target_b)
+        try:
+            return self._joint(remaining, _to_mask(src), target_a, target_b)
+        except RecursionError:
+            raise _depth_limit_error() from None
 
     def _within_mask(self, within: Iterable[int] | None, src: frozenset[int]) -> int:
         if within is None:
@@ -316,6 +338,12 @@ class ExactEngine:
             total += mass * self._joint(rem2, xmask, a, b)
         self._memo[key] = total
         return total
+
+
+def _depth_limit_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"recursion deeper than the interpreter stack limit ({sys.getrecursionlimit()} frames)"
+    )
 
 
 def _to_mask(vertices: Iterable[int]) -> int:

@@ -20,6 +20,7 @@ from numpy.random import Generator, Philox
 from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
+_PACK_BLOCK_BITS = 1 << 18
 
 
 class Edge(NamedTuple):
@@ -290,27 +291,63 @@ def reach_many(graph: Graph, bits: np.ndarray, sources: Iterable[int] | int) -> 
 
     bits has shape (k, m) with bits[i, e] the direction of edge e in sample i.
     Returns a (k, n) boolean matrix; row i is the reachable set from sources.
-    Fixed-point sweep over the edge list; cost O(sweeps * m) vector ops.
+
+    Bit-sliced: each edge's column of k direction bits is packed into one
+    k-bit int, and so is each vertex's reach column. Sweeps run over the edge
+    list forwards and backwards in alternation until a sweep changes nothing,
+    so a directed path costs one sweep per run of rising or falling edge
+    indices along it, where forward-only sweeps would cost one per falling
+    step. Cost O(sweeps * m) big-int ops over k bits.
     """
     src = _check_sources(graph, sources)
     k = bits.shape[0]
     if bits.shape[1] != graph.edge_count:
         raise InputError("bits matrix width must equal the edge count")
-    reach = np.zeros((k, graph.vertex_count), dtype=bool)
-    for s in src:
-        reach[:, s] = True
-    if k == 0 or graph.edge_count == 0:
-        return reach
-    prev = -1
-    total = int(reach.sum())
-    while total != prev:
-        prev = total
-        for e, (u, v, _) in enumerate(graph.edges):
-            fwd = bits[:, e]
-            np.logical_or(reach[:, v], reach[:, u] & fwd, out=reach[:, v])
-            np.logical_or(reach[:, u], reach[:, v] & ~fwd, out=reach[:, u])
-        total = int(reach.sum())
-    return reach
+    fwd = _pack_columns(bits)
+    full = (1 << k) - 1
+    return _reach_packed(graph, fwd, [full ^ f for f in fwd], src, k)
+
+
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """Column e of a (k, m) bit matrix as one k-bit int; bit i is row i.
+
+    Rows are transposed and packed in blocks of about _PACK_BLOCK_BITS bits,
+    a multiple of 8 rows each, so no full transposed copy of bits is held.
+    """
+    k, m = bits.shape
+    step = 8 * max(1, _PACK_BLOCK_BITS // (8 * max(m, 1)))
+    blocks = [
+        np.packbits(np.ascontiguousarray(bits[i : i + step].T), axis=1, bitorder="little")
+        for i in range(0, k, step)
+    ]
+    return [
+        int.from_bytes(b"".join(block[e].tobytes() for block in blocks), "little")
+        for e in range(m)
+    ]
+
+
+def _reach_packed(
+    graph: Graph, fwd: list[int], bwd: list[int], sources: Iterable[int], k: int
+) -> np.ndarray:
+    """Fixed point of the sliced sweep: row i of the result holds the vertices
+    reached from the sources when edge e can be crossed low -> high where bit
+    i of fwd[e] is set, and high -> low where bit i of bwd[e] is set."""
+    reach = [0] * graph.vertex_count
+    for s in sources:
+        reach[s] = (1 << k) - 1
+    steps = [(u, v, f, b) for (u, v, _), f, b in zip(graph.edges, fwd, bwd)]
+    while True:
+        before = reach.copy()
+        for u, v, f, b in steps:
+            reach[v] |= reach[u] & f
+            reach[u] |= reach[v] & b
+        if reach == before:
+            break
+        steps.reverse()
+    nbytes = (k + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in reach), dtype=np.uint8)
+    byte_rows = np.ascontiguousarray(packed.reshape(len(reach), nbytes).T)
+    return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
 
 
 def event_indicator_many(graph: Graph, bits: np.ndarray, event: EventExpr) -> np.ndarray:

@@ -18,7 +18,16 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .generators import complete_graph
-from .graphs import EventExpr, Graph, RandomStream, _check_sources, _check_vertex, make_graph
+from .graphs import (
+    EventExpr,
+    Graph,
+    RandomStream,
+    _check_sources,
+    _check_vertex,
+    _pack_columns,
+    _reach_packed,
+    make_graph,
+)
 from .montecarlo import batch_means_std_error, sampled_event_columns
 from . import exact as _exact
 from .exact import (
@@ -347,28 +356,11 @@ def percolation_cluster_distribution(
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
     acc: dict[int, float] = {}
     for open_bits, weights in _enumeration_chunks(uniform):
-        comp = _component_many(graph, open_bits, root)
+        # a cluster is the reach set when every open edge can be crossed both ways
+        open_cols = _pack_columns(open_bits)
+        comp = _reach_packed(graph, open_cols, open_cols, (root,), open_bits.shape[0])
         _accumulate_row_masses(comp, weights, acc)
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
-
-
-def _component_many(graph: Graph, open_bits: np.ndarray, root: int) -> np.ndarray:
-    """Connected component of the root across many open-edge patterns."""
-    k = open_bits.shape[0]
-    comp = np.zeros((k, graph.vertex_count), dtype=bool)
-    comp[:, root] = True
-    if k == 0 or graph.edge_count == 0:
-        return comp
-    prev = -1
-    total = int(comp.sum())
-    while total != prev:
-        prev = total
-        for e, (u, v, _) in enumerate(graph.edges):
-            open_e = open_bits[:, e]
-            np.logical_or(comp[:, v], comp[:, u] & open_e, out=comp[:, v])
-            np.logical_or(comp[:, u], comp[:, v] & open_e, out=comp[:, u])
-        total = int(comp.sum())
-    return comp
 
 
 def total_variation(d1: SubsetDistribution, d2: SubsetDistribution) -> float:

@@ -60,6 +60,14 @@ class TestExact:
         )
         assert code == 4
 
+    def test_deep_recursion_is_exhaustion_without_traceback(self, capsys, tmp_path):
+        p = tmp_path / "path.edges"
+        p.write_text("".join(f"{i} {i + 1} 0.5\n" for i in range(1999)))
+        assert main(["exact", "--graph", str(p), "--source", "0", "--target", "1999"]) == 4
+        err = capsys.readouterr().err
+        assert "resource limit" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_t1_random_graphs(self, capsys):

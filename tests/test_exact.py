@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from orientprob import (
@@ -13,8 +14,10 @@ from orientprob import (
     exact_joint_prob,
     make_graph,
     out_neighborhood_distribution,
+    path_graph,
     random_graph,
 )
+from orientprob.exact import _accumulate_row_masses
 from conftest import oracle_event_prob
 
 
@@ -53,6 +56,25 @@ class TestBruteForce:
             expected = oracle_event_prob(g, [({0, 1}, 3), ({0, 1}, 4)])
             ev = conn({0, 1}, 3) & conn({0, 1}, 4)
             assert brute_force_prob(g, ev).probability == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 70])
+def test_accumulate_row_masses_matches_plain_loop(n):
+    rng = np.random.default_rng(n)
+    rows = rng.random((500, n)) < rng.random(n)
+    rows[:, 0] = False
+    rows[0] = True  # the full mask occurs only here, with weight 0
+    rows[1:3] = False
+    weights = rng.random(500)
+    weights[::5] = 0.0
+    expected: dict[int, float] = {}
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        mask = sum(1 << j for j, bit in enumerate(row) if bit)
+        expected[mask] = expected.get(mask, 0.0) + w
+    got: dict[int, float] = {}
+    _accumulate_row_masses(rows, weights, got)
+    assert got == expected
+    assert got[(1 << n) - 1] == 0.0
 
 
 class TestOutNeighborhood:
@@ -131,6 +153,13 @@ class TestRecursion:
         g = complete_graph(6, 0.5)
         with pytest.raises(ResourceLimitError, match="memo"):
             exact_connection_prob(g, 0, 5, memo_cap=2)
+
+    def test_deep_recursion_is_a_resource_limit(self):
+        g = path_graph(2000)
+        with pytest.raises(ResourceLimitError, match="recursion"):
+            exact_connection_prob(g, 0, 1999)
+        with pytest.raises(ResourceLimitError, match="recursion"):
+            exact_joint_prob(g, 0, 1, 1999)
 
     def test_states_visited_positive(self, triangle):
         assert exact_connection_prob(triangle, 0, 1).states_visited > 0

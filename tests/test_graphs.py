@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from orientprob import (
     holds,
     make_graph,
     parse_graph,
+    percolation_cluster_distribution,
     random_graph,
     reach_many,
     reachable_set,
@@ -189,3 +191,64 @@ def test_reach_many_matches_single_bfs():
     for i in range(64):
         single = reachable_set(g, Orientation(tuple(int(b) for b in bits[i])), {0, 3})
         assert {int(v) for v in np.nonzero(matrix[i])[0]} == single
+
+
+@st.composite
+def graph_with_isolated_vertices(draw, max_edges):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
+    return make_graph(n, [(u, v, 0.5) for u, v in chosen])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=graph_with_isolated_vertices(max_edges=20),
+    k=st.sampled_from([0, 1, 7, 8, 63, 64, 65, 130]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reach_many_equals_scalar_reach_on_every_row(g, k, seed, data):
+    sources = data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    bits = rng.random((k, g.edge_count)) < rng.random()
+    matrix = reach_many(g, bits, sources)
+    assert matrix.shape == (k, g.vertex_count) and matrix.dtype == bool
+    for i in range(k):
+        single = reachable_set(g, Orientation(tuple(int(b) for b in bits[i])), sources)
+        assert set(np.flatnonzero(matrix[i]).tolist()) == single
+
+
+def _open_cluster(g, open_bits, root):
+    adj = {v: [] for v in range(g.vertex_count)}
+    for is_open, (u, v, _) in zip(open_bits, g.edges):
+        if is_open:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=graph_with_isolated_vertices(max_edges=10),
+    density=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_percolation_cluster_law_matches_scalar_bfs(g, density, data):
+    root = data.draw(st.integers(0, g.vertex_count - 1))
+    expected: dict[int, float] = {}
+    for open_bits in itertools.product((0, 1), repeat=g.edge_count):
+        w = math.prod(density if b else 1.0 - density for b in open_bits)
+        mask = sum(1 << v for v in _open_cluster(g, open_bits, root))
+        expected[mask] = expected.get(mask, 0.0) + w
+    law = percolation_cluster_distribution(g, root, density)
+    assert law.mass.keys() == expected.keys()
+    for mask, w in expected.items():
+        assert law.mass[mask] == pytest.approx(w, abs=1e-12)
