@@ -8,7 +8,7 @@ probabilities by seeded Monte Carlo, and runs finite-box experiments on the
 square lattice.
 """
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .graphs import (
     Edge,
     EventExpr,
@@ -74,6 +74,7 @@ __all__ = [
     "GridReachStats",
     "GridSpec",
     "InputError",
+    "InternalError",
     "Orientation",
     "RandomStream",
     "ResourceLimitError",

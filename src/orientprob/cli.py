@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success or verified, 1 verification violation, 2 usage error,
-3 input error, 4 budget or cap exhausted without a result.
+3 input error, 4 budget or cap exhausted without a result, 5 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .exact import (
     DEFAULT_ENUM_CAP,
     DEFAULT_MEMO_CAP,
@@ -39,6 +39,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_EXHAUSTED = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(Exception):
@@ -433,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -7,3 +7,7 @@ class InputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured cap (enumeration size, memo entries) was exceeded."""
+
+
+class InternalError(RuntimeError):
+    """A self-check of the program failed: a fault in the program, not in its input."""

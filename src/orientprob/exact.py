@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .graphs import (
     EventExpr,
     Graph,
@@ -90,7 +90,7 @@ class SubsetDistribution:
 
 def _clamp01(p: float) -> float:
     if p < -PROBABILITY_BAND or p > 1.0 + PROBABILITY_BAND:
-        raise RuntimeError(f"probability {p!r} outside the accumulation tolerance band")
+        raise InternalError(f"probability {p!r} outside the accumulation tolerance band")
     return min(1.0, max(0.0, p))
 
 
@@ -172,11 +172,21 @@ def _accumulate_row_masses(rows: np.ndarray, weights: np.ndarray, acc: dict[int,
 class ExactEngine:
     """Memoized recursive evaluator for connection probabilities.
 
-    At each step the current source set S is conditioned on the random set
-    of outside vertices receiving an edge oriented out of S; the recursion
-    continues on the graph with S deleted. The memo is keyed on (remaining
-    vertex set, source set, targets), with the remaining set normalized to
-    the undirected component of the sources; queries on one engine share it.
+    One recursion serves every query: the probability that the source set S
+    reaches every vertex of a target set T inside a region of the graph. A
+    state is memoized under (region, sources, target mask); queries on one
+    engine share the memo, so a joint query reuses the single-target states
+    it passes through.
+
+    At each state the vertices R = region - S split into the undirected
+    components of G[R]. Only components holding an unreached target matter:
+    frontier vertices elsewhere are dropped, as their coins marginalise out.
+    Targets in different components depend on disjoint edges and on
+    independent frontier coins, so the state's value is a product over
+    components C of the sum, over subsets X of the frontier in C, of
+    P(X is the out-neighbourhood of S in C) * value(C, X, T & C - X). The
+    child region is C itself, as C is connected and X is a nonempty part of
+    it, so a child's key needs no search of the graph.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -184,18 +194,14 @@ class ExactEngine:
         self.memo_cap = memo_cap
         self.states_visited = 0
         self._full_mask = (1 << graph.vertex_count) - 1
-        self._memo: dict[tuple, float] = {}
+        self._memo: dict[tuple[int, int, int], float] = {}
 
     def connection(
         self, sources: Iterable[int] | int, target: int, within: Iterable[int] | None = None
     ) -> float:
         src = _check_sources(self.graph, sources)
         _check_vertex(self.graph, target)
-        remaining = self._within_mask(within, src)
-        try:
-            return self._conn(remaining, _to_mask(src), target)
-        except RecursionError:
-            raise _depth_limit_error() from None
+        return self._query(src, 1 << target, within)
 
     def joint(
         self,
@@ -207,9 +213,21 @@ class ExactEngine:
         src = _check_sources(self.graph, sources)
         _check_vertex(self.graph, target_a)
         _check_vertex(self.graph, target_b)
-        remaining = self._within_mask(within, src)
+        return self._query(src, (1 << target_a) | (1 << target_b), within)
+
+    def _query(self, src: frozenset[int], targets: int, within: Iterable[int] | None) -> float:
+        region = self._within_mask(within, src)
+        src_mask = _to_mask(src)
+        targets &= ~src_mask
+        if not targets:
+            return 1.0
+        if targets & ~region:
+            return 0.0
+        hit = self._memo.get((region, src_mask, targets))
+        if hit is not None:
+            return hit
         try:
-            return self._joint(remaining, _to_mask(src), target_a, target_b)
+            return self._reach_all(region, src_mask, targets)
         except RecursionError:
             raise _depth_limit_error() from None
 
@@ -240,103 +258,43 @@ class ExactEngine:
             comp |= frontier
         return comp
 
-    def _frontier(self, remaining: int, src_mask: int) -> tuple[list[int], list[float]]:
-        """Outside neighbors of the sources and their inclusion probabilities.
-
-        For each neighbor v, 1 minus the product over S-v edges of the
-        probability that the edge points into S. Edges inside S are ignored.
-        """
-        stay_in = {}
-        inc = self.graph.incident_edges
-        edges = self.graph.edges
-        s = src_mask
-        while s:
-            u = (s & -s).bit_length() - 1
-            s &= s - 1
-            for e_idx, other in inc[u]:
-                if not (remaining >> other) & 1 or (src_mask >> other) & 1:
-                    continue
-                edge = edges[e_idx]
-                out_prob = edge.bias if edge.low == u else 1.0 - edge.bias
-                stay_in[other] = stay_in.get(other, 1.0) * (1.0 - out_prob)
-        t = sorted(stay_in)
-        return t, [1.0 - stay_in[v] for v in t]
-
     def _check_memo_budget(self) -> None:
         if len(self._memo) >= self.memo_cap:
             raise ResourceLimitError(
                 f"memo table reached {len(self._memo)} entries, cap {self.memo_cap}"
             )
 
-    def _conn(self, remaining: int, src_mask: int, target: int) -> float:
-        if (src_mask >> target) & 1:
-            return 1.0
-        if src_mask == 0:
-            return 0.0
-        comp = self._component(remaining, src_mask)
-        if not (comp >> target) & 1:
-            return 0.0
-        key = (comp, src_mask, target)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+    def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
+        """P(the sources reach every target) inside G[region], for a state
+        the memo does not hold. `targets` is nonempty, disjoint from the
+        sources, and inside `region`."""
         self._check_memo_budget()
         self.states_visited += 1
-        t, pv = self._frontier(comp, src_mask)
-        rem2 = comp & ~src_mask
-        total = 0.0
-        for xbits in range(1 << len(t)):
-            mass = 1.0
-            xmask = 0
-            for j, v in enumerate(t):
-                if (xbits >> j) & 1:
-                    mass *= pv[j]
-                    xmask |= 1 << v
+        memo = self._memo
+        rest = region & ~src_mask
+        total = 1.0
+        pending = targets
+        while pending and total:
+            comp = self._component(rest, pending & -pending)
+            pending &= ~comp
+            wanted = targets & comp
+            masks, masses = _subset_table(*_frontier(self.graph, comp, src_mask))
+            part = 0.0
+            for i in range(1, len(masks)):  # entry 0 is the empty set, which reaches nothing
+                mass = masses[i]
+                if mass == 0.0:
+                    continue
+                x = masks[i]
+                left = wanted & ~x
+                if left:
+                    p = memo.get((comp, x, left))
+                    if p is None:
+                        p = self._reach_all(comp, x, left)
+                    part += mass * p
                 else:
-                    mass *= 1.0 - pv[j]
-            if mass == 0.0:
-                continue
-            total += mass * self._conn(rem2, xmask, target)
-        self._memo[key] = total
-        return total
-
-    def _joint(self, remaining: int, src_mask: int, a: int, b: int) -> float:
-        in_a = (src_mask >> a) & 1
-        in_b = (src_mask >> b) & 1
-        if in_a and in_b:
-            return 1.0
-        if in_a:
-            return self._conn(remaining, src_mask, b)
-        if in_b:
-            return self._conn(remaining, src_mask, a)
-        if src_mask == 0:
-            return 0.0
-        comp = self._component(remaining, src_mask)
-        if not (comp >> a) & 1 or not (comp >> b) & 1:
-            return 0.0
-        lo, hi = (a, b) if a <= b else (b, a)
-        key = (comp, src_mask, lo, hi, "j")
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._check_memo_budget()
-        self.states_visited += 1
-        t, pv = self._frontier(comp, src_mask)
-        rem2 = comp & ~src_mask
-        total = 0.0
-        for xbits in range(1 << len(t)):
-            mass = 1.0
-            xmask = 0
-            for j, v in enumerate(t):
-                if (xbits >> j) & 1:
-                    mass *= pv[j]
-                    xmask |= 1 << v
-                else:
-                    mass *= 1.0 - pv[j]
-            if mass == 0.0:
-                continue
-            total += mass * self._joint(rem2, xmask, a, b)
-        self._memo[key] = total
+                    part += mass
+            total *= part
+        memo[(region, src_mask, targets)] = total
         return total
 
 
@@ -353,20 +311,56 @@ def _to_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], list[float]]:
+    """Neighbors of the sources inside `remaining` but outside the sources,
+    in increasing order, with their probabilities of receiving an edge
+    oriented out of the sources.
+
+    For each neighbor v, 1 minus the product over S-v edges of the
+    probability that the edge points into S. Edges inside S are ignored.
+    """
+    stay_in: dict[int, float] = {}
+    inc = graph.incident_edges
+    edges = graph.edges
+    s = src_mask
+    while s:
+        u = (s & -s).bit_length() - 1
+        s &= s - 1
+        for e_idx, other in inc[u]:
+            if not (remaining >> other) & 1 or (src_mask >> other) & 1:
+                continue
+            edge = edges[e_idx]
+            out_prob = edge.bias if edge.low == u else 1.0 - edge.bias
+            stay_in[other] = stay_in.get(other, 1.0) * (1.0 - out_prob)
+    t = sorted(stay_in)
+    return t, [1.0 - stay_in[v] for v in t]
+
+
+def _subset_table(vertices: list[int], probs: list[float]) -> tuple[list[int], list[float]]:
+    """Vertex mask and mass of every subset of `vertices`, each vertex
+    included independently with its probability.
+
+    Entry i holds vertices[j] exactly when bit j of i is set. The table is
+    built by doubling, so each mass is its factors multiplied in j order.
+    """
+    masks = [0]
+    masses = [1.0]
+    for v, p in zip(vertices, probs):
+        bit = 1 << v
+        q = 1.0 - p
+        masses = [m * q for m in masses] + [m * p for m in masses]
+        masks += [x | bit for x in masks]
+    return masks, masses
+
+
 def out_neighborhood_distribution(graph: Graph, sources: Iterable[int] | int) -> SubsetDistribution:
     """Law of the set of outside vertices receiving an edge oriented out of
     the sources. Each outside neighbor v is included independently with its
     own probability, so the mass is a product over the ground set."""
     src = _check_sources(graph, sources)
-    engine = ExactEngine(graph)
-    t, pv = engine._frontier(engine._full_mask, _to_mask(src))
-    mass: dict[int, float] = {}
-    for xbits in range(1 << len(t)):
-        m = 1.0
-        for j in range(len(t)):
-            m *= pv[j] if (xbits >> j) & 1 else 1.0 - pv[j]
-        mass[xbits] = m
-    return SubsetDistribution(tuple(t), mass)
+    ground, probs = _frontier(graph, (1 << graph.vertex_count) - 1, _to_mask(src))
+    _, masses = _subset_table(ground, probs)
+    return SubsetDistribution(tuple(ground), dict(enumerate(masses)))
 
 
 def exact_connection_prob(

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import (
     Graph,
     Orientation,
@@ -18,7 +18,7 @@ from .graphs import (
     reach_many,
     reachable_set,
 )
-from .montecarlo import stream_sample_counts
+from .montecarlo import _chunk_rows, stream_sample_counts
 
 TOWARD_HIGH = "toward-high"
 TOWARD_LOW = "toward-low"
@@ -150,6 +150,7 @@ def grid_reach_stats(
     boundary = list(grid.far_boundary)
     biases = graph.bias_array
     m = graph.edge_count
+    rows_per_chunk = _chunk_rows(_CHUNK_ROWS, m)
 
     tot_size = 0
     max_size = 0
@@ -162,7 +163,7 @@ def grid_reach_stats(
         stream = RandomStream(seed, t)
         done = 0
         while done < n_t:
-            c = min(_CHUNK_ROWS, n_t - done)
+            c = min(rows_per_chunk, n_t - done)
             bits = stream.uniforms((c, m)) < biases
             reach = reach_many(graph, bits, origin)
             sizes = reach.sum(axis=1)
@@ -263,7 +264,7 @@ def find_nonmonotonicity_witness(
                 if b not in reachable_set(graph, flipped, a):
                     witness = Witness(orientation, e, flip_direction, a, b)
                     if not witness.verify(graph):
-                        raise RuntimeError("witness failed re-verification")
+                        raise InternalError("witness failed re-verification")
                     return WitnessSearchResult(witness, attempts + int(r) + 1, budget, seed)
         attempts += block
     return WitnessSearchResult(None, attempts, budget, seed)

@@ -276,10 +276,11 @@ def _verify_triples_exact(
     worst = ""
     violations: list[dict] = []
     for src in source_sets:
+        p = [engine.connection(src, t) for t in range(n)]
         for a in range(n):
-            p_a = engine.connection(src, a)
+            p_a = p[a]
             for b in range(n):
-                p_b = engine.connection(src, b)
+                p_b = p[b]
                 joint = engine.joint(src, a, b)
                 slack = joint - p_a * p_b
                 checked += 1

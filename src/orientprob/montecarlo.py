@@ -17,6 +17,14 @@ from .errors import InputError
 from .graphs import EventExpr, Graph, RandomStream, reach_many
 
 _CHUNK_ROWS = 1 << 16
+_CHUNK_UNIFORMS = 1 << 22  # float64 draws held at once: 32 MiB
+
+
+def _chunk_rows(row_cap: int, edge_count: int) -> int:
+    """Rows per sampling chunk: at most row_cap, and few enough that the
+    chunk draws at most _CHUNK_UNIFORMS uniforms. Streams are consumed in C
+    order, so the chunk size never changes the samples."""
+    return max(1, min(row_cap, _CHUNK_UNIFORMS // max(edge_count, 1)))
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ def sampled_event_columns(
     biases = graph.bias_array
     out = np.zeros((samples, len(events)), dtype=bool)
     counts = stream_sample_counts(samples, streams)
+    rows_per_chunk = _chunk_rows(_CHUNK_ROWS, m)
     for t in range(streams):
         n_t = counts[t]
         if n_t == 0:
@@ -71,7 +80,7 @@ def sampled_event_columns(
         stream = RandomStream(seed, t)
         done = 0
         while done < n_t:
-            c = min(_CHUNK_ROWS, n_t - done)
+            c = min(rows_per_chunk, n_t - done)
             bits = stream.uniforms((c, m)) < biases
             reach_cache: dict[frozenset[int], np.ndarray] = {}
             rows = t + np.arange(done, done + c) * streams

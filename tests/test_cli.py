@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orientprob import ExactEngine, Witness
 from orientprob.cli import main
 
 TRIANGLE = "0 1 0.5\n0 2 0.5\n1 2 0.5\n"
@@ -197,3 +198,24 @@ class TestUsage:
 
     def test_two_graph_sources_rejected(self, capsys, tri_path):
         assert main(["exact", "--graph", tri_path, "--complete", "3", "--source", "0", "--target", "1"]) == 2
+
+
+class TestInternalErrors:
+    """A failed self-check exits 5 with one stderr line, never 1 with a traceback."""
+
+    def test_probability_outside_the_band(self, capsys, monkeypatch, tri_path):
+        monkeypatch.setattr(ExactEngine, "connection", lambda self, sources, target, within=None: 1.5)
+        assert main(["exact", "--graph", tri_path, "--source", "0", "--target", "1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: probability 1.5")
+        assert "Traceback" not in captured.err
+
+    def test_witness_failing_reverification(self, capsys, monkeypatch):
+        monkeypatch.setattr(Witness, "verify", lambda self, graph: False)
+        code = main(["witness", "--grid", "8x7", "--a", "0,2", "--b", "7,4", "--budget", "1000000",
+                     "--seed", "0"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: witness failed re-verification\n"

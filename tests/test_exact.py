@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientprob import (
     EventExpr,
@@ -17,7 +19,7 @@ from orientprob import (
     path_graph,
     random_graph,
 )
-from orientprob.exact import _accumulate_row_masses
+from orientprob.exact import _accumulate_row_masses, _frontier
 from conftest import oracle_event_prob
 
 
@@ -104,6 +106,21 @@ class TestOutNeighborhood:
             d = out_neighborhood_distribution(g, {0, 1})
             assert abs(sum(d.mass.values()) - 1.0) <= 1e-12
 
+    def test_masses_equal_the_plain_product_loop(self):
+        # the doubling table multiplies each mass's factors in ground order
+        for i in range(5):
+            g = random_graph(7, edge_count=12, biases="uniform", seed=43, index=i)
+            d = out_neighborhood_distribution(g, {0, 1})
+            ground, pv = _frontier(g, (1 << 7) - 1, 0b11)
+            assert d.ground == tuple(ground)
+            expected = {}
+            for xbits in range(1 << len(pv)):
+                m = 1.0
+                for j in range(len(pv)):
+                    m *= pv[j] if (xbits >> j) & 1 else 1.0 - pv[j]
+                expected[xbits] = m
+            assert list(d.mass.items()) == list(expected.items())
+
     def test_lattice_product_identity(self):
         # mass(X1) mass(X2) == mass(X1 | X2) mass(X1 & X2), a product identity
         for i in range(10):
@@ -164,6 +181,15 @@ class TestRecursion:
     def test_states_visited_positive(self, triangle):
         assert exact_connection_prob(triangle, 0, 1).states_visited > 0
 
+    def test_pendant_leaves_are_pruned(self):
+        path = [(i, i + 1, 0.5) for i in range(5)]
+        leaves = [(0, 6, 0.5), (0, 7, 0.5), (0, 8, 0.5), (3, 9, 0.5), (3, 10, 0.5), (3, 11, 0.5)]
+        bare = exact_connection_prob(make_graph(6, path), 0, 5)
+        hung = exact_connection_prob(make_graph(12, path + leaves), 0, 5)
+        assert bare.states_visited == 5
+        assert hung.states_visited == bare.states_visited
+        assert hung.probability == bare.probability
+
 
 class TestOracleEquivalence:
     def test_connection_and_joint_agree_with_enumeration(self):
@@ -182,6 +208,35 @@ class TestOracleEquivalence:
                 rec = engine.connection(src, 2)
                 enum = brute_force_prob(g, conn(src, 2)).probability
                 assert abs(rec - enum) <= 1e-9
+
+
+@st.composite
+def biased_graph(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    bias = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return make_graph(n, [(u, v, draw(bias)) for u, v in chosen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=biased_graph(), data=st.data())
+def test_recursion_matches_independent_oracle(g, data):
+    vertex = st.integers(0, g.vertex_count - 1)
+    src = data.draw(st.sets(vertex, min_size=1, max_size=3))
+    a = data.draw(vertex)
+    b = data.draw(vertex)
+    within = data.draw(st.none() | st.sets(vertex).map(lambda w: w | src))
+    # restricting to `within` is the same as deleting the edges that leave it
+    kept = g if within is None else make_graph(
+        g.vertex_count, [(u, v, p) for u, v, p in g.edges if u in within and v in within]
+    )
+    engine = ExactEngine(g)
+    # the joint query runs first, so the single-target queries read states it memoized
+    joint = engine.joint(src, a, b, within=within)
+    assert abs(joint - oracle_event_prob(kept, [(src, a), (src, b)])) <= 1e-9
+    for t in (a, b):
+        assert abs(engine.connection(src, t, within=within) - oracle_event_prob(kept, [(src, t)])) <= 1e-9
 
 
 class TestStructuralInvariants:

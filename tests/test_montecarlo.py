@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from orientprob import (
@@ -9,6 +10,7 @@ from orientprob import (
     make_graph,
     random_graph,
 )
+from orientprob import GridSpec, grid_reach_stats
 from orientprob.montecarlo import sampled_event_columns, stream_sample_counts
 
 
@@ -55,6 +57,23 @@ class TestEstimateEvent:
 
         assert 100_000 > mc._CHUNK_ROWS
         assert 0.6 < a.estimate < 0.65
+
+    def test_uniform_cap_does_not_change_samples(self, monkeypatch):
+        import orientprob.montecarlo as mc
+
+        g = random_graph(6, edge_count=9, biases="uniform", seed=5)
+        events = [conn(0, 5), conn({1, 2}, 4) & conn({1, 2}, 3)]
+
+        def run():
+            cols = sampled_event_columns(g, events, 500, seed=3, streams=3)
+            return cols, grid_reach_stats(GridSpec(4, 3, 0.6), 0, 500, seed=3, streams=2)
+
+        cols, stats = run()
+        for cap in (1, 20, 1000):  # from one row per chunk to dozens
+            monkeypatch.setattr(mc, "_CHUNK_UNIFORMS", cap)
+            capped_cols, capped_stats = run()
+            assert np.array_equal(capped_cols, cols)
+            assert capped_stats == stats
 
     def test_ci_contains_estimate(self, triangle):
         r = estimate_event(triangle, conn(0, 1), samples=10_000, seed=2)
