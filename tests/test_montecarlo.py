@@ -3,14 +3,15 @@ import pytest
 
 from orientprob import (
     EventExpr,
+    GridSpec,
     InputError,
     estimate_event,
     estimate_slack,
     exact_connection_prob,
+    grid_reach_stats,
     make_graph,
     random_graph,
 )
-from orientprob import GridSpec, grid_reach_stats
 from orientprob.montecarlo import sampled_event_columns, stream_sample_counts
 
 
