@@ -5,6 +5,11 @@ oracle), and a recursion that conditions on the random set of vertices that
 receive an edge oriented out of the current source set, then recurses on the
 graph with the sources deleted. The two must agree to 1e-9 on any instance
 small enough for both.
+
+Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
+bit-sliced kernel `reach_many`. The low edge columns and their weights are
+the same in every block and are built once; a block only fills in the
+constant high columns and scales the weights by their factors.
 """
 
 from __future__ import annotations
@@ -94,31 +99,40 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _orientation_bits(start: int, count: int, m: int) -> np.ndarray:
-    """Rows start..start+count-1 of the full orientation enumeration."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    bits = np.empty((count, m), dtype=bool)
-    for e in range(m):
-        bits[:, e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
-    return bits
-
-
-def _orientation_weights(bits: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    w = np.ones(bits.shape[0], dtype=np.float64)
-    for e in range(bits.shape[1]):
-        np.multiply(w, np.where(bits[:, e], biases[e], 1.0 - biases[e]), out=w)
-    return w
-
-
 def _enumeration_chunks(graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All 2^m orientations with their probabilities, in blocks of
+    k = 2^min(m, _CHUNK_BITS) rows; row i of the block at `start` is
+    orientation start + i, whose bit e is the direction of edge e.
+
+    The low columns e < log2 k hold bit e of the row index, the same in every
+    block, and the high columns hold the constant bit e of `start`. The low
+    columns and their weights are built once; each block only sets the high
+    columns and multiplies a copy of the low weights by the high factors.
+    Weights are doubled column by column, so every row multiplies its
+    factors in edge order, as a per-orientation product would.
+
+    The bits and weights buffers are reused: each block overwrites the
+    previous one, so a caller must finish with a block before asking for the
+    next.
+    """
     m = graph.edge_count
-    total = 1 << m
-    step = min(total, 1 << _CHUNK_BITS)
+    low = min(m, _CHUNK_BITS)
+    k = 1 << low
     biases = graph.bias_array
-    for start in range(0, total, step):
-        count = min(step, total - start)
-        bits = _orientation_bits(start, count, m)
-        yield bits, _orientation_weights(bits, biases)
+    bits = np.empty((k, m), dtype=bool)
+    row_bytes = np.arange(k, dtype="<u4").view(np.uint8).reshape(k, 4)
+    bits[:, :low] = np.unpackbits(row_bytes, axis=1, count=low, bitorder="little")
+    low_weights = np.ones(1, dtype=np.float64)
+    for e in range(low):
+        low_weights = np.concatenate((low_weights * (1.0 - biases[e]), low_weights * biases[e]))
+    weights = np.empty(k, dtype=np.float64)
+    for start in range(0, 1 << m, k):
+        high = [(start >> e) & 1 for e in range(low, m)]
+        bits[:, low:] = high
+        weights[:] = low_weights
+        for e, b in enumerate(high, start=low):
+            weights *= biases[e] if b else 1.0 - biases[e]
+        yield bits, weights
 
 
 def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENUM_CAP) -> ExactResult:
@@ -320,18 +334,15 @@ def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], l
     probability that the edge points into S. Edges inside S are ignored.
     """
     stay_in: dict[int, float] = {}
-    inc = graph.incident_edges
-    edges = graph.edges
+    inward = graph.inward_probabilities
+    outside = remaining & ~src_mask
     s = src_mask
     while s:
         u = (s & -s).bit_length() - 1
         s &= s - 1
-        for e_idx, other in inc[u]:
-            if not (remaining >> other) & 1 or (src_mask >> other) & 1:
-                continue
-            edge = edges[e_idx]
-            out_prob = edge.bias if edge.low == u else 1.0 - edge.bias
-            stay_in[other] = stay_in.get(other, 1.0) * (1.0 - out_prob)
+        for other, p_in in inward[u]:
+            if (outside >> other) & 1:
+                stay_in[other] = stay_in.get(other, 1.0) * p_in
     t = sorted(stay_in)
     return t, [1.0 - stay_in[v] for v in t]
 

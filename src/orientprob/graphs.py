@@ -75,13 +75,14 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def incident_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of (edge_index, other_endpoint) pairs."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v, _) in enumerate(self.edges):
-            inc[u].append((i, v))
-            inc[v].append((i, u))
-        return tuple(tuple(x) for x in inc)
+    def inward_probabilities(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per-vertex tuple of (neighbour, probability that the edge points
+        towards this vertex) pairs, in edge order."""
+        inward: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
+        for u, v, p in self.edges:
+            inward[u].append((v, 1.0 - p))
+            inward[v].append((u, 1.0 - (1.0 - p)))  # not p: the rounding of 1 - P(v -> u) is kept
+        return tuple(tuple(x) for x in inward)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,9 @@ def _verify_triples_exact(
     tolerance: float,
     memo_cap: int = _exact.DEFAULT_MEMO_CAP,
 ) -> VerificationReport:
+    """Check every triple (S, a, b); min_slack and worst_instance range over
+    the triples with a and b outside S only, since the others have slack 0
+    exactly. With no such triple they are 0.0 and ""."""
     engine = ExactEngine(graph, memo_cap)
     n = graph.vertex_count
     checked = 0
@@ -285,7 +288,7 @@ def _verify_triples_exact(
                 slack = joint - p_a * p_b
                 checked += 1
                 label = f"(S={sorted(src)}, a={a}, b={b})"
-                if slack < min_slack:
+                if slack < min_slack and a not in src and b not in src:
                     min_slack = slack
                     worst = label
                 if slack < -tolerance:

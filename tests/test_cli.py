@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientprob import ExactEngine, Witness
 from orientprob.cli import main
@@ -219,3 +225,44 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: witness failed re-verification\n"
+
+
+@st.composite
+def enumeration_argv(draw, path):
+    """argv for an enumeration entry point on a small graph file, with caps
+    below and above its edge count and vertex ids that may be out of range."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    bias = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    Path(path).write_text(f"n {n}\n" + "".join(f"{u} {v} {draw(bias)!r}\n" for u, v in chosen))
+    vertex = st.sampled_from([-1, n] + list(range(n)) * 4)
+    cap = ["--enum-cap", str(draw(st.integers(-1, len(chosen) + 2)))]
+    command = draw(st.sampled_from(["exact", "mcdiarmid", "alm-linusson"]))
+    if command == "exact":
+        argv = ["exact", "--graph", path, "--method", "enumeration",
+                "--source", ",".join(map(str, draw(st.lists(vertex, max_size=3)))),
+                "--target", str(draw(vertex))]
+        if draw(st.booleans()):
+            argv += ["--target2", str(draw(vertex))]
+    elif command == "mcdiarmid":
+        argv = ["mcdiarmid", "--graph", path, "--root", str(draw(vertex))]
+    else:
+        argv = ["alm-linusson", "--n", str(n), "--mode", "exact"]
+    return argv + cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumeration_entry_points_exit_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(enumeration_argv(str(Path(tmp) / "g.edges")))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())

@@ -17,9 +17,12 @@ from orientprob import (
     make_graph,
     out_neighborhood_distribution,
     path_graph,
+    percolation_cluster_distribution,
     random_graph,
+    reachable_set_distribution,
 )
-from orientprob.exact import _accumulate_row_masses, _frontier
+from orientprob import exact
+from orientprob.exact import _accumulate_row_masses, _enumeration_chunks, _frontier
 from conftest import oracle_event_prob
 
 
@@ -77,6 +80,48 @@ def test_accumulate_row_masses_matches_plain_loop(n):
     _accumulate_row_masses(rows, weights, got)
     assert got == expected
     assert got[(1 << n) - 1] == 0.0
+
+
+class TestEnumerationBlocks:
+    """Small block sizes, so that small graphs run the multi-block path."""
+
+    @pytest.mark.parametrize("chunk_bits", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 9])
+    def test_blocks_match_a_per_orientation_construction(self, monkeypatch, chunk_bits, m):
+        monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+        pairs = list(itertools.combinations(range(5), 2))[:m]
+        g = make_graph(5, [(u, v, 0.1 + 0.08 * i) for i, (u, v) in enumerate(pairs)])
+        # the buffers are reused between blocks, so each is copied before the next
+        blocks = [(bits.copy(), weights.copy()) for bits, weights in _enumeration_chunks(g)]
+        k = 1 << min(m, chunk_bits)
+        assert len(blocks) == (1 << m) // k
+        for j, (bits, weights) in enumerate(blocks):
+            assert bits.shape == (k, m) and bits.dtype == bool
+            for i in range(k):
+                row = j * k + i
+                w = 1.0
+                for e, (_, _, p) in enumerate(g.edges):
+                    w *= p if (row >> e) & 1 else 1.0 - p
+                assert bits[i].tolist() == [bool((row >> e) & 1) for e in range(m)]
+                assert weights[i] == w
+
+    @pytest.mark.parametrize("chunk_bits", [2, 3])
+    def test_oracle_results_do_not_depend_on_the_block_size(self, monkeypatch, chunk_bits):
+        # dyadic biases keep every product and sum exact, so a difference can
+        # only come from a wrong row or weight, never from summation order
+        g = make_graph(5, [(0, 1, 0.5), (0, 2, 0.25), (1, 2, 0.75), (1, 3, 0.5),
+                           (2, 4, 0.125), (3, 4, 0.625), (0, 4, 0.375)])
+
+        def results():
+            return (
+                brute_force_prob(g, conn(0, 3) & conn(0, 4)).probability,
+                reachable_set_distribution(g, 0).mass,
+                percolation_cluster_distribution(g, 1, 0.25).mass,
+            )
+
+        default = results()
+        monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+        assert results() == default
 
 
 class TestOutNeighborhood:

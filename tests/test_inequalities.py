@@ -118,6 +118,17 @@ class TestTheoremSweeps:
         slack = engine.joint([0], 2, 1) - engine.connection([0], 2) * engine.connection([0], 1)
         assert slack == 0.0
 
+    def test_worst_instance_has_both_targets_outside_the_sources(self):
+        # every triple with a or b in S has slack 0; on this path the closest
+        # other triple is the middle vertex's two independent branches
+        rep = verify_theorem_1(make_graph(3, [(0, 1, 0.3), (1, 2, 0.6)]), mode="exact")
+        assert rep.instances_checked == 27
+        assert (rep.min_slack, rep.worst_instance) == (0.0, "(S=[1], a=0, b=2)")
+        rep = verify_theorem_1(make_graph(2, [(0, 1, 0.5)]), mode="exact")
+        assert (rep.min_slack, rep.worst_instance) == (0.25, "(S=[0], a=1, b=1)")
+        rep = verify_theorem_1(make_graph(1, []), mode="exact")
+        assert (rep.instances_checked, rep.min_slack, rep.worst_instance) == (1, 0.0, "")
+
     def test_exact_sweep_on_random_graphs(self):
         for i in range(6):
             g = random_graph(6, edge_count=8, biases="uniform", seed=91, index=i)
