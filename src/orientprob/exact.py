@@ -6,6 +6,11 @@ receive an edge oriented out of the current source set, then recurses on the
 graph with the sources deleted. The two must agree to 1e-9 on any instance
 small enough for both.
 
+The recursion is memoized under a canonical key per subproblem (the
+sources, the target mask, and the sources together with the components of
+the rest that hold a target), so a subproblem met under different regions
+is expanded once (see ExactEngine).
+
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`. The low edge columns and their weights are
 the same in every block and are built once; a block only fills in the
@@ -187,10 +192,9 @@ class ExactEngine:
     """Memoized recursive evaluator for connection probabilities.
 
     One recursion serves every query: the probability that the source set S
-    reaches every vertex of a target set T inside a region of the graph. A
-    state is memoized under (region, sources, target mask); queries on one
-    engine share the memo, so a joint query reuses the single-target states
-    it passes through.
+    reaches every vertex of a target set T inside a region of the graph.
+    Queries on one engine share the memo, so a joint query reuses the
+    single-target states it passes through.
 
     At each state the vertices R = region - S split into the undirected
     components of G[R]. Only components holding an unreached target matter:
@@ -198,9 +202,17 @@ class ExactEngine:
     Targets in different components depend on disjoint edges and on
     independent frontier coins, so the state's value is a product over
     components C of the sum, over subsets X of the frontier in C, of
-    P(X is the out-neighbourhood of S in C) * value(C, X, T & C - X). The
-    child region is C itself, as C is connected and X is a nonempty part of
-    it, so a child's key needs no search of the graph.
+    P(X is the out-neighbourhood of S in C) * value(C, X, T & C - X).
+
+    The value depends on the region only through the components that hold a
+    target, so a subproblem's canonical key is (S | those components, S, T).
+    Each subproblem is expanded once, under its canonical key; the key it was
+    reached by, (region, S, T), is stored beside it as an alias. A parent
+    looks its children up by (C, X, T & C - X): C is connected and X is a
+    nonempty part of it, so the child key needs no search of the graph, and
+    a repeated child costs one dict probe. `states_visited` counts the
+    subproblems expanded; `memo_cap` bounds the memo entries, aliases
+    included.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -272,43 +284,61 @@ class ExactEngine:
             comp |= frontier
         return comp
 
-    def _check_memo_budget(self) -> None:
+    def _store(self, key: tuple[int, int, int], value: float) -> None:
+        """Memoize one entry; memo_cap bounds the entries, aliases included."""
         if len(self._memo) >= self.memo_cap:
             raise ResourceLimitError(
                 f"memo table reached {len(self._memo)} entries, cap {self.memo_cap}"
             )
+        self._memo[key] = value
 
     def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
-        """P(the sources reach every target) inside G[region], for a state
-        the memo does not hold. `targets` is nonempty, disjoint from the
-        sources, and inside `region`."""
-        self._check_memo_budget()
-        self.states_visited += 1
+        """P(the sources reach every target) inside G[region], for a key the
+        memo does not hold. `targets` is nonempty, disjoint from the sources,
+        and inside `region`.
+
+        The value depends only on the sources and the components of
+        G[region - S] that hold a target, so it is looked up, and on a miss
+        computed, under the canonical key (S | those components, S, targets)
+        and then also stored under the given key."""
         memo = self._memo
         rest = region & ~src_mask
-        total = 1.0
+        comps: list[int] = []
+        covered = src_mask
         pending = targets
-        while pending and total:
+        while pending:
             comp = self._component(rest, pending & -pending)
             pending &= ~comp
-            wanted = targets & comp
-            masks, masses = _subset_table(*_frontier(self.graph, comp, src_mask))
-            part = 0.0
-            for i in range(1, len(masks)):  # entry 0 is the empty set, which reaches nothing
-                mass = masses[i]
-                if mass == 0.0:
-                    continue
-                x = masks[i]
-                left = wanted & ~x
-                if left:
-                    p = memo.get((comp, x, left))
-                    if p is None:
-                        p = self._reach_all(comp, x, left)
-                    part += mass * p
-                else:
-                    part += mass
-            total *= part
-        memo[(region, src_mask, targets)] = total
+            comps.append(comp)
+            covered |= comp
+        canonical = (covered, src_mask, targets)
+        total = memo.get(canonical)
+        if total is None:
+            self.states_visited += 1
+            total = 1.0
+            for comp in comps:
+                wanted = targets & comp
+                masks, masses = _subset_table(*_frontier(self.graph, comp, src_mask))
+                part = 0.0
+                subsets = zip(masks, masses)
+                next(subsets)  # the empty set reaches nothing
+                for x, mass in subsets:
+                    if mass == 0.0:
+                        continue
+                    left = wanted & ~x
+                    if left:
+                        p = memo.get((comp, x, left))
+                        if p is None:
+                            p = self._reach_all(comp, x, left)
+                        part += mass * p
+                    else:
+                        part += mass
+                total *= part
+                if not total:
+                    break
+            self._store(canonical, total)
+        if covered != region:
+            self._store((region, src_mask, targets), total)
         return total
 
 
@@ -331,20 +361,34 @@ def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], l
     oriented out of the sources.
 
     For each neighbor v, 1 minus the product over S-v edges of the
-    probability that the edge points into S. Edges inside S are ignored.
+    probability that the edge points into S, multiplied in increasing order
+    of the source. Edges inside S are ignored.
     """
-    stay_in: dict[int, float] = {}
-    inward = graph.inward_probabilities
-    outside = remaining & ~src_mask
+    nbr = graph.neighbor_masks
+    arcs = graph.arc_probabilities
+    near = 0
     s = src_mask
     while s:
-        u = (s & -s).bit_length() - 1
-        s &= s - 1
-        for other, p_in in inward[u]:
-            if (outside >> other) & 1:
-                stay_in[other] = stay_in.get(other, 1.0) * p_in
-    t = sorted(stay_in)
-    return t, [1.0 - stay_in[v] for v in t]
+        low = s & -s
+        s ^= low
+        near |= nbr[low.bit_length() - 1]
+    near &= remaining & ~src_mask
+    vertices: list[int] = []
+    probs: list[float] = []
+    while near:
+        low = near & -near
+        near ^= low
+        v = low.bit_length() - 1
+        row = arcs[v]
+        stay_in = 1.0
+        s = nbr[v] & src_mask
+        while s:
+            low = s & -s
+            s ^= low
+            stay_in *= row[low.bit_length() - 1]
+        vertices.append(v)
+        probs.append(1.0 - stay_in)
+    return vertices, probs
 
 
 def _subset_table(vertices: list[int], probs: list[float]) -> tuple[list[int], list[float]]:

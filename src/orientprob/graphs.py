@@ -75,14 +75,14 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def inward_probabilities(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex tuple of (neighbour, probability that the edge points
-        towards this vertex) pairs, in edge order."""
-        inward: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
+    def arc_probabilities(self) -> tuple[dict[int, float], ...]:
+        """Per-vertex row: arc_probabilities[v][u] is the probability that
+        the edge between v and its neighbour u is oriented v -> u."""
+        rows: list[dict[int, float]] = [{} for _ in range(self.vertex_count)]
         for u, v, p in self.edges:
-            inward[u].append((v, 1.0 - p))
-            inward[v].append((u, 1.0 - (1.0 - p)))  # not p: the rounding of 1 - P(v -> u) is kept
-        return tuple(tuple(x) for x in inward)
+            rows[u][v] = 1.0 - (1.0 - p)  # not p: the rounding of 1 - P(v -> u) is kept
+            rows[v][u] = 1.0 - p
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

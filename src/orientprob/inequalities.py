@@ -28,7 +28,7 @@ from .graphs import (
     _reach_packed,
     make_graph,
 )
-from .montecarlo import batch_means_std_error, sampled_event_columns
+from .montecarlo import paired_slacks, sampled_event_columns
 from . import exact as _exact
 from .exact import (
     DEFAULT_ENUM_CAP,
@@ -306,41 +306,23 @@ def _verify_triples_montecarlo(
     if samples < 2:
         raise InputError("montecarlo mode needs samples >= 2")
     n = graph.vertex_count
-    b = min(batches, samples)
-    bounds = [i * samples // b for i in range(b + 1)]
     checked = 0
     min_slack = math.inf
     worst = ""
     violations: list[dict] = []
     for s in range(n):
         events = [EventExpr.connection(s, t) for t in range(n)]
-        cols = sampled_event_columns(graph, events, samples, seed, streams).astype(np.float64)
-        total = cols.sum(axis=0)
-        batch_counts = np.empty((b, n))
-        batch_joint = np.zeros((b, n, n))
-        for k in range(b):
-            chunk = cols[bounds[k] : bounds[k + 1]]
-            batch_counts[k] = chunk.sum(axis=0)
-            batch_joint[k] = chunk.T @ chunk
-        joint_total = batch_joint.sum(axis=0)
+        est, se = paired_slacks(sampled_event_columns(graph, events, samples, seed, streams), batches)
         for a in range(n):
             for t in range(n):
-                est = joint_total[a, t] / samples - (total[a] / samples) * (total[t] / samples)
-                batch_vals = np.empty(b)
-                for k in range(b):
-                    nk = bounds[k + 1] - bounds[k]
-                    batch_vals[k] = (
-                        batch_joint[k, a, t] / nk
-                        - (batch_counts[k, a] / nk) * (batch_counts[k, t] / nk)
-                    )
-                se = batch_means_std_error(batch_vals)
+                slack, std_error = float(est[a, t]), float(se[a, t])
                 checked += 1
-                label = f"(s={s}, a={a}, b={t}) slack {est:.6f} +- {1.96 * se:.6f}"
-                if est < min_slack:
-                    min_slack = float(est)
+                label = f"(s={s}, a={a}, b={t}) slack {slack:.6f} +- {1.96 * std_error:.6f}"
+                if slack < min_slack:
+                    min_slack = slack
                     worst = label
-                if est < 0.0 and est <= -4.0 * se:
-                    violations.append({"instance": label, "slack": float(est), "std_error": se})
+                if slack < 0.0 and slack <= -4.0 * std_error:
+                    violations.append({"instance": label, "slack": slack, "std_error": std_error})
     if not math.isfinite(min_slack):
         min_slack = 0.0
     return VerificationReport(checked, min_slack, worst, violations)
@@ -446,16 +428,6 @@ def alm_linusson_covariance(
         p_b = int(cb.sum()) / samples
         p_ab = int(cab.sum()) / samples
         cov = p_ab - p_a * p_b
-        nb = min(batches, samples)
-        bounds = [i * samples // nb for i in range(nb + 1)]
-        batch_vals = np.empty(nb)
-        for k in range(nb):
-            lo, hi = bounds[k], bounds[k + 1]
-            nk = hi - lo
-            batch_vals[k] = (
-                int(cab[lo:hi].sum()) / nk
-                - (int(ca[lo:hi].sum()) / nk) * (int(cb[lo:hi].sum()) / nk)
-            )
-        se = batch_means_std_error(batch_vals)
+        se = float(paired_slacks(cols, batches)[1][0, 1])
         return AlmLinussonResult(n, cov, p_a, p_b, p_ab, "montecarlo", samples, se, seed)
     raise InputError(f"unknown mode {mode!r}")

@@ -116,6 +116,30 @@ def batch_means_std_error(batch_values: np.ndarray) -> float:
     return float(np.std(batch_values, ddof=1) / math.sqrt(b))
 
 
+def paired_slacks(cols: np.ndarray, batches: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
+    a (samples, k) indicator matrix, all events read on the same samples.
+
+    Returns two (k, k) arrays: the estimates, and their standard errors from
+    the same slack computed on min(batches, samples) nonoverlapping batches.
+    Counts are exact integers in float64, so every estimate is the same
+    float as the scalar expression count_ij/n - (count_i/n)(count_j/n).
+    """
+    samples = cols.shape[0]
+    x = cols.astype(np.float64)
+    p = x.sum(axis=0) / samples
+    est = (x.T @ x) / samples - p[:, None] * p[None, :]
+    b = min(batches, samples)
+    bounds = [i * samples // b for i in range(b + 1)]
+    sizes = np.diff(bounds)[:, None]
+    batch_p = np.add.reduceat(x, bounds[:-1], axis=0) / sizes
+    batch_joint = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    batch_slacks = batch_joint / sizes[:, :, None] - batch_p[:, :, None] * batch_p[:, None, :]
+    per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))
+    se = np.array([[batch_means_std_error(vals) for vals in row] for row in per_pair])
+    return est, se
+
+
 def estimate_slack(
     graph: Graph,
     sources: Iterable[int] | int,
@@ -136,18 +160,5 @@ def estimate_slack(
     ev_a = EventExpr.connection(sources, target_a)
     ev_b = EventExpr.connection(sources, target_b)
     cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
-    ca = cols[:, 0]
-    cb = cols[:, 1]
-    cab = ca & cb
-    est = int(cab.sum()) / samples - (int(ca.sum()) / samples) * (int(cb.sum()) / samples)
-    b = min(batches, samples)
-    bounds = [i * samples // b for i in range(b + 1)]
-    batch_slacks = np.empty(b, dtype=np.float64)
-    for k in range(b):
-        lo, hi = bounds[k], bounds[k + 1]
-        nk = hi - lo
-        pa = int(ca[lo:hi].sum()) / nk
-        pb = int(cb[lo:hi].sum()) / nk
-        pab = int(cab[lo:hi].sum()) / nk
-        batch_slacks[k] = pab - pa * pb
-    return est, batch_means_std_error(batch_slacks)
+    est, se = paired_slacks(cols, batches)
+    return float(est[0, 1]), float(se[0, 1])

@@ -227,17 +227,23 @@ class TestInternalErrors:
         assert captured.err == "internal error: witness failed re-verification\n"
 
 
-@st.composite
-def enumeration_argv(draw, path):
-    """argv for an enumeration entry point on a small graph file, with caps
-    below and above its edge count and vertex ids that may be out of range."""
+def _small_graph_file(draw, path):
+    """Write a graph with n <= 6 and m <= 8 to path; return n, m and a
+    strategy for vertex ids, which may be out of range."""
     n = draw(st.integers(0, 6))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
     bias = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     Path(path).write_text(f"n {n}\n" + "".join(f"{u} {v} {draw(bias)!r}\n" for u, v in chosen))
-    vertex = st.sampled_from([-1, n] + list(range(n)) * 4)
-    cap = ["--enum-cap", str(draw(st.integers(-1, len(chosen) + 2)))]
+    return n, len(chosen), st.sampled_from([-1, n] + list(range(n)) * 4)
+
+
+@st.composite
+def enumeration_argv(draw, path):
+    """argv for an enumeration entry point on a small graph file, with caps
+    below and above its edge count and vertex ids that may be out of range."""
+    n, m, vertex = _small_graph_file(draw, path)
+    cap = ["--enum-cap", str(draw(st.integers(-1, m + 2)))]
     command = draw(st.sampled_from(["exact", "mcdiarmid", "alm-linusson"]))
     if command == "exact":
         argv = ["exact", "--graph", path, "--method", "enumeration",
@@ -252,11 +258,34 @@ def enumeration_argv(draw, path):
     return argv + cap
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_enumeration_entry_points_exit_cleanly(data):
+@st.composite
+def recursion_argv(draw, path):
+    """argv for an entry point of the exact recursion on a small graph file,
+    with memo caps from none at all to ample and vertex ids that may be out
+    of range."""
+    _, _, vertex = _small_graph_file(draw, path)
+    sources = ",".join(map(str, draw(st.lists(vertex, max_size=3))))
+    cap = ["--memo-cap", str(draw(st.integers(-1, 40)))] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(["exact", "verify-t1", "verify-t2", "fourfunc"]))
+    if command == "exact":
+        argv = ["exact", "--graph", path, "--source", sources, "--target", str(draw(vertex))] + cap
+        if draw(st.booleans()):
+            argv += ["--target2", str(draw(vertex))]
+    elif command == "verify-t1":
+        argv = ["verify-t1", "--graph", path, "--mode", "exact"] + cap
+    elif command == "verify-t2":
+        argv = ["verify-t2", "--graph", path, "--max-set-size", str(draw(st.integers(-1, 3)))] + cap
+    else:
+        argv = ["fourfunc", "--graph", path, "--source", sources,
+                "--a", str(draw(vertex)), "--b", str(draw(vertex))]
+    return argv
+
+
+def _assert_exits_cleanly(argv_strategy, data):
+    """Exit 0, 2, 3 or 4 without a traceback; stdout holds the JSON report
+    on success and nothing on failure."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = data.draw(enumeration_argv(str(Path(tmp) / "g.edges")))
+        argv = data.draw(argv_strategy(str(Path(tmp) / "g.edges")))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -266,3 +295,15 @@ def test_enumeration_entry_points_exit_cleanly(data):
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumeration_entry_points_exit_cleanly(data):
+    _assert_exits_cleanly(enumeration_argv, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_recursion_entry_points_exit_cleanly(data):
+    _assert_exits_cleanly(recursion_argv, data)

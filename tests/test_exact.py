@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from orientprob import (
     EventExpr,
     ExactEngine,
+    GridSpec,
     InputError,
     ResourceLimitError,
     brute_force_prob,
+    build_grid,
     complete_graph,
     exact_connection_prob,
     exact_joint_prob,
@@ -216,6 +218,31 @@ class TestRecursion:
         with pytest.raises(ResourceLimitError, match="memo"):
             exact_connection_prob(g, 0, 5, memo_cap=2)
 
+    def test_a_query_that_succeeds_stays_within_the_memo_cap(self):
+        g = build_grid(GridSpec(4, 5, 0.6)).graph
+        entries = len(_joint_engine(g, exact.DEFAULT_MEMO_CAP)._memo)
+        engine = _joint_engine(g, entries)  # the cap counts alias entries too
+        assert len(engine._memo) <= engine.memo_cap
+        assert engine.states_visited < len(engine._memo)  # aliases are present
+
+    def test_a_cap_below_the_entry_count_stops_at_the_cap(self):
+        g = build_grid(GridSpec(4, 5, 0.6)).graph
+        entries = len(_joint_engine(g, exact.DEFAULT_MEMO_CAP)._memo)
+        engine = ExactEngine(g, entries - 1)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            engine.joint([0], 19, 3)
+        assert len(engine._memo) == entries - 1
+
+    def test_every_cap_bounds_the_memo(self):
+        g = build_grid(GridSpec(3, 3, 0.6)).graph
+        entries = len(_joint_engine(g, exact.DEFAULT_MEMO_CAP, 8, 2)._memo)
+        for cap in range(entries):
+            engine = ExactEngine(g, cap)
+            with pytest.raises(ResourceLimitError, match="memo"):
+                engine.joint([0], 8, 2)
+            assert len(engine._memo) <= cap
+        assert len(_joint_engine(g, entries, 8, 2)._memo) == entries
+
     def test_deep_recursion_is_a_resource_limit(self):
         g = path_graph(2000)
         with pytest.raises(ResourceLimitError, match="recursion"):
@@ -234,6 +261,76 @@ class TestRecursion:
         assert bare.states_visited == 5
         assert hung.states_visited == bare.states_visited
         assert hung.probability == bare.probability
+
+
+def _joint_engine(graph, memo_cap, a=19, b=3):
+    engine = ExactEngine(graph, memo_cap)
+    engine.joint([0], a, b)
+    return engine
+
+
+class TestPinnedStates:
+    """states_visited counts distinct subproblems expanded, each once under
+    its canonical key; the probabilities are pinned bit for bit."""
+
+    def test_grid_4x5(self):
+        g = build_grid(GridSpec(4, 5, 0.6)).graph
+        conn_r = exact_connection_prob(g, 0, 19)
+        joint_r = exact_joint_prob(g, 0, 19, 3)
+        assert (conn_r.probability, conn_r.states_visited) == (0.37871217834504634, 5973)
+        assert (joint_r.probability, joint_r.states_visited) == (0.21391531130911384, 8717)
+
+    def test_complete_10(self):
+        g = complete_graph(10, 0.5)
+        conn_r = exact_connection_prob(g, 0, 1)
+        joint_r = exact_joint_prob(g, 0, 1, 2)
+        assert (conn_r.probability, conn_r.states_visited) == (0.9959624525508843, 6306)
+        assert (joint_r.probability, joint_r.states_visited) == (0.9939567121828077, 10552)
+
+
+def _frontier_by_source(graph, remaining, src_mask):
+    """The frontier built source by source: walk each source's edges in edge
+    order, multiply into a dict, then sort."""
+    inward = [[] for _ in range(graph.vertex_count)]
+    for u, v, p in graph.edges:
+        inward[u].append((v, 1.0 - p))
+        inward[v].append((u, 1.0 - (1.0 - p)))
+    stay_in = {}
+    outside = remaining & ~src_mask
+    for u in range(graph.vertex_count):
+        if (src_mask >> u) & 1:
+            for other, p_in in inward[u]:
+                if (outside >> other) & 1:
+                    stay_in[other] = stay_in.get(other, 1.0) * p_in
+    t = sorted(stay_in)
+    return t, [1.0 - stay_in[v] for v in t]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_frontier_matches_the_per_source_loop(data):
+    g = data.draw(biased_graph(max_vertices=9, max_edges=20))
+    n = g.vertex_count
+    src_mask = data.draw(st.integers(1, (1 << n) - 1))
+    remaining = data.draw(st.integers(0, (1 << n) - 1))  # may cut through any neighbourhood
+    vertices, probs = _frontier(g, remaining, src_mask)
+    expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
+    assert vertices == expected_vertices
+    assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]  # bit for bit
+
+
+def test_frontier_matches_the_per_source_loop_on_dense_graphs():
+    # many sources per frontier vertex, so the order of the factors shows, and
+    # decimal biases, whose complements round (1 - (1 - p) != p for some)
+    rng = np.random.default_rng(5)
+    for i in range(20):
+        shape = random_graph(9, edge_count=30, seed=44, index=i)
+        g = make_graph(9, [(u, v, int(rng.integers(0, 1001)) / 1000) for u, v, _ in shape.edges])
+        for src_mask, remaining in rng.integers(1, 1 << 9, size=(20, 2)).tolist():
+            vertices, probs = _frontier(g, remaining, src_mask)
+            expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
+            assert vertices == expected_vertices
+            assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]
 
 
 class TestOracleEquivalence:
@@ -256,10 +353,10 @@ class TestOracleEquivalence:
 
 
 @st.composite
-def biased_graph(draw):
-    n = draw(st.integers(1, 7))
+def biased_graph(draw, max_vertices=7, max_edges=10):
+    n = draw(st.integers(1, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
     bias = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     return make_graph(n, [(u, v, draw(bias)) for u, v in chosen])
 

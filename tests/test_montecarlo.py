@@ -12,7 +12,12 @@ from orientprob import (
     make_graph,
     random_graph,
 )
-from orientprob.montecarlo import sampled_event_columns, stream_sample_counts
+from orientprob.montecarlo import (
+    batch_means_std_error,
+    paired_slacks,
+    sampled_event_columns,
+    stream_sample_counts,
+)
 
 
 def conn(s, t):
@@ -137,6 +142,30 @@ class TestEstimateSlack:
             )
         )
         assert hits >= 38  # at least 95 percent of seeded runs
+
+
+@pytest.mark.parametrize("samples, batches", [(1, 100), (7, 100), (250, 100), (1001, 100), (999, 7)])
+def test_paired_slacks_match_the_scalar_batch_loop(samples, batches):
+    rng = np.random.default_rng(samples)
+    cols = rng.random((samples, 4)) < [0.0, 0.3, 0.8, 1.0]
+    est, se = paired_slacks(cols, batches)
+    b = min(batches, samples)
+    bounds = [i * samples // b for i in range(b + 1)]
+    for i in range(4):
+        for j in range(4):
+            ci, cj = cols[:, i], cols[:, j]
+            cij = ci & cj
+            expected = int(cij.sum()) / samples - (int(ci.sum()) / samples) * (int(cj.sum()) / samples)
+            batch_slacks = np.empty(b)
+            for k in range(b):
+                lo, hi = bounds[k], bounds[k + 1]
+                nk = hi - lo
+                batch_slacks[k] = (
+                    int(cij[lo:hi].sum()) / nk
+                    - (int(ci[lo:hi].sum()) / nk) * (int(cj[lo:hi].sum()) / nk)
+                )
+            assert est[i, j] == expected
+            assert se[i, j] == batch_means_std_error(batch_slacks)
 
 
 class TestSampledColumns:
