@@ -243,6 +243,8 @@ class SourceSetPolicy:
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
         elif self.kind == "random":
+            if self.count < 0:
+                raise InputError(f"random source set count must be >= 0, got {self.count}")
             # nonempty subsets sampled with replacement
             stream = RandomStream(self.seed, 0)
             full = (1 << vertex_count) - 1

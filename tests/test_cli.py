@@ -274,7 +274,11 @@ def recursion_argv(draw, path):
     elif command == "verify-t1":
         argv = ["verify-t1", "--graph", path, "--mode", "exact"] + cap
     elif command == "verify-t2":
-        argv = ["verify-t2", "--graph", path, "--max-set-size", str(draw(st.integers(-1, 3)))] + cap
+        sets = draw(st.integers(-1, 3))
+        if draw(st.booleans()):
+            argv = ["verify-t2", "--graph", path, "--max-set-size", str(sets)] + cap
+        else:
+            argv = ["verify-t2", "--graph", path, "--random-sets", str(sets), "--seed", "1"] + cap
     else:
         argv = ["fourfunc", "--graph", path, "--source", sources,
                 "--a", str(draw(vertex)), "--b", str(draw(vertex))]

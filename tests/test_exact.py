@@ -306,6 +306,13 @@ def _frontier_by_source(graph, remaining, src_mask):
     return t, [1.0 - stay_in[v] for v in t]
 
 
+def _assert_frontier_matches_the_per_source_loop(g, remaining, src_mask):
+    vertices, probs = _frontier(g, remaining, src_mask)
+    expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
+    assert vertices == expected_vertices
+    assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]  # bit for bit
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_frontier_matches_the_per_source_loop(data):
@@ -313,10 +320,7 @@ def test_frontier_matches_the_per_source_loop(data):
     n = g.vertex_count
     src_mask = data.draw(st.integers(1, (1 << n) - 1))
     remaining = data.draw(st.integers(0, (1 << n) - 1))  # may cut through any neighbourhood
-    vertices, probs = _frontier(g, remaining, src_mask)
-    expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
-    assert vertices == expected_vertices
-    assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]  # bit for bit
+    _assert_frontier_matches_the_per_source_loop(g, remaining, src_mask)
 
 
 def test_frontier_matches_the_per_source_loop_on_dense_graphs():
@@ -327,10 +331,7 @@ def test_frontier_matches_the_per_source_loop_on_dense_graphs():
         shape = random_graph(9, edge_count=30, seed=44, index=i)
         g = make_graph(9, [(u, v, int(rng.integers(0, 1001)) / 1000) for u, v, _ in shape.edges])
         for src_mask, remaining in rng.integers(1, 1 << 9, size=(20, 2)).tolist():
-            vertices, probs = _frontier(g, remaining, src_mask)
-            expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
-            assert vertices == expected_vertices
-            assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]
+            _assert_frontier_matches_the_per_source_loop(g, remaining, src_mask)
 
 
 class TestOracleEquivalence:
