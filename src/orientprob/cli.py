@@ -109,6 +109,8 @@ def _add_graph_source(parser: argparse.ArgumentParser, allow_random: bool = True
 
 
 def _graphs_from_args(args: argparse.Namespace, trials: int = 1) -> list[Graph]:
+    if trials < 0:
+        raise InputError(f"--trials must be >= 0, got {trials}")
     if args.graph is not None:
         text = Path(args.graph).read_text(encoding="utf-8")
         return [parse_graph(text)]

@@ -9,7 +9,8 @@ small enough for both.
 The recursion is memoized under a canonical key per subproblem (the
 sources, the target mask, and the sources together with the components of
 the rest that hold a target), so a subproblem met under different regions
-is expanded once (see ExactEngine).
+is expanded once, and subproblems that differ by a swap of twin vertices
+share one key (see ExactEngine).
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`. The low edge columns and their weights are
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -213,6 +215,15 @@ class ExactEngine:
     a repeated child costs one dict probe. `states_visited` counts the
     subproblems expanded; `memo_cap` bounds the memo entries, aliases
     included.
+
+    States are also taken up to twin swaps (see Graph.twin_classes): inside
+    each class of more than one vertex, a state is moved to the image that
+    lists the class's sources first, then its targets, then the rest of the
+    region. Frontier vertices of one class on one side of the target set
+    share their probability p, so the frontier sum runs over how many of
+    them are hit, c + 1 terms in place of 2^c, each count represented by the
+    first members. On a graph whose classes are all singletons nothing of
+    this runs, and every value is computed as without it.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -221,6 +232,17 @@ class ExactEngine:
         self.states_visited = 0
         self._full_mask = (1 << graph.vertex_count) - 1
         self._memo: dict[tuple[int, int, int], float] = {}
+        # per twin class of more than one vertex: its mask and the masks of
+        # its first k members, k = 0..size; and each vertex's first twin
+        self._classes: list[tuple[int, list[int]]] = []
+        self._leader = list(range(graph.vertex_count))
+        for members in graph.twin_classes:
+            if len(members) > 1:
+                prefixes = [0]
+                for v in members:
+                    self._leader[v] = members[0]
+                    prefixes.append(prefixes[-1] | 1 << v)
+                self._classes.append((prefixes[-1], prefixes))
 
     def connection(
         self, sources: Iterable[int] | int, target: int, within: Iterable[int] | None = None
@@ -249,11 +271,14 @@ class ExactEngine:
             return 1.0
         if targets & ~region:
             return 0.0
-        hit = self._memo.get((region, src_mask, targets))
+        key = (region, src_mask, targets)
+        if self._classes:
+            key = self._canonical(*key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         try:
-            return self._reach_all(region, src_mask, targets)
+            return self._reach_all(*key)
         except RecursionError:
             raise _depth_limit_error() from None
 
@@ -292,16 +317,48 @@ class ExactEngine:
             )
         self._memo[key] = value
 
+    def _canonical(self, region: int, src_mask: int, targets: int) -> tuple[int, int, int]:
+        """The twin-swap image of (region, S, T) in which each nontrivial twin
+        class lists its sources first, then its targets, then the rest of
+        the region. Twin swaps are automorphisms, so the value is the same."""
+        for cmask, prefixes in self._classes:
+            s = (src_mask & cmask).bit_count()
+            st = s + (targets & cmask).bit_count()
+            src_mask = src_mask & ~cmask | prefixes[s]
+            targets = targets & ~cmask | prefixes[st] & ~prefixes[s]
+            region = region & ~cmask | prefixes[(region & cmask).bit_count()]
+        return region, src_mask, targets
+
+    def _frontier_groups(
+        self, comp: int, src_mask: int, targets: int
+    ) -> tuple[tuple[()], tuple[()], list[tuple[float, list[int]]]]:
+        """The frontier of the sources in `comp` as groups (p, members) of
+        interchangeable vertices, the members of one twin class on one side
+        of the target set, in the order of their first members; twins share
+        their sources, so a group's members share its probability p. Given
+        as _subset_table's arguments, with no lone vertices."""
+        vertices, probs = _frontier(self.graph, comp, src_mask)
+        groups: dict[tuple[int, int], tuple[float, list[int]]] = {}
+        for v, p in zip(vertices, probs):
+            groups.setdefault((self._leader[v], targets >> v & 1), (p, []))[1].append(v)
+        return (), (), list(groups.values())
+
     def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
         """P(the sources reach every target) inside G[region], for a key the
         memo does not hold. `targets` is nonempty, disjoint from the sources,
         and inside `region`.
 
         The value depends only on the sources and the components of
-        G[region - S] that hold a target, so it is looked up, and on a miss
-        computed, under the canonical key (S | those components, S, targets)
-        and then also stored under the given key."""
+        G[region - S] that hold a target, up to twin swaps, so it is looked
+        up, and on a miss computed, under the canonical key (S | those
+        components, S, targets) of the twin-canonical state, and then also
+        stored under the given key. A frontier is summed over the member
+        counts of its groups, each count represented by a group's first
+        members."""
         memo = self._memo
+        probe = (region, src_mask, targets)
+        if self._classes:
+            region, src_mask, targets = self._canonical(region, src_mask, targets)
         rest = region & ~src_mask
         comps: list[int] = []
         covered = src_mask
@@ -318,7 +375,11 @@ class ExactEngine:
             total = 1.0
             for comp in comps:
                 wanted = targets & comp
-                masks, masses = _subset_table(*_frontier(self.graph, comp, src_mask))
+                if self._classes:
+                    frontier = self._frontier_groups(comp, src_mask, targets)
+                else:
+                    frontier = _frontier(self.graph, comp, src_mask)  # every group a lone vertex
+                masks, masses = _subset_table(*frontier)
                 part = 0.0
                 subsets = zip(masks, masses)
                 next(subsets)  # the empty set reaches nothing
@@ -337,8 +398,8 @@ class ExactEngine:
                 if not total:
                     break
             self._store(canonical, total)
-        if covered != region:
-            self._store((region, src_mask, targets), total)
+        if probe != canonical:
+            self._store(probe, total)
         return total
 
 
@@ -391,12 +452,20 @@ def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], l
     return vertices, probs
 
 
-def _subset_table(vertices: list[int], probs: list[float]) -> tuple[list[int], list[float]]:
+def _subset_table(
+    vertices: list[int], probs: list[float], groups: Iterable[tuple[float, list[int]]] = ()
+) -> tuple[list[int], list[float]]:
     """Vertex mask and mass of every subset of `vertices`, each vertex
-    included independently with its probability.
+    included independently with its probability, and of every vector of
+    member counts over `groups` of interchangeable vertices.
 
-    Entry i holds vertices[j] exactly when bit j of i is set. The table is
-    built by doubling, so each mass is its factors multiplied in j order.
+    For the vertices, entry i holds vertices[j] exactly when bit j of i is
+    set. A group (p, members) of c members then multiplies the table
+    (c+1)-fold: count j has mass C(c, j) p^j q^(c-j) and is represented by
+    the first j members. A lone vertex is the case c = 1, whose weights are
+    exactly (q, p); it is kept as a plain doubling because every graph
+    without twins runs it at every state. Each mass is its factors
+    multiplied in that order.
     """
     masks = [0]
     masses = [1.0]
@@ -405,6 +474,15 @@ def _subset_table(vertices: list[int], probs: list[float]) -> tuple[list[int], l
         q = 1.0 - p
         masses = [m * q for m in masses] + [m * p for m in masses]
         masks += [x | bit for x in masks]
+    for p, members in groups:
+        q = 1.0 - p
+        c = len(members)
+        weights = [comb(c, j) * p**j * q ** (c - j) for j in range(c + 1)]
+        prefixes = [0]
+        for v in members:
+            prefixes.append(prefixes[-1] | 1 << v)
+        masses = [m * w for w in weights for m in masses]
+        masks = [x | b for b in prefixes for x in masks]
     return masks, masses
 
 

@@ -84,6 +84,30 @@ class Graph:
             rows[v][u] = 1.0 - p
         return tuple(rows)
 
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices partitioned into twin classes, each in increasing
+        order, the classes ordered by their first member.
+
+        Two vertices are twins when they have the same neighbours apart from
+        each other, equal arc_probabilities entries to every other vertex
+        and, if adjacent, an edge of bias 1/2 between them, so swapping them
+        is an automorphism of the biased graph. False (non-adjacent) twins
+        share their open neighbourhood and row; true (adjacent) twins share
+        their closed neighbourhood and their row with a 0.5 entry added for
+        the vertex itself. An open key never equals a closed one, and no
+        vertex has both a false and a true twin, so the groups of more than
+        one vertex are disjoint. Rows compare by float equality: they are
+        the floats the exact recursion multiplies.
+        """
+        groups: dict[tuple, list[int]] = {}
+        for v, (nbr, row) in enumerate(zip(self.neighbor_masks, self.arc_probabilities)):
+            groups.setdefault((nbr, tuple(sorted(row.items()))), []).append(v)
+            groups.setdefault((nbr | 1 << v, tuple(sorted({**row, v: 0.5}.items()))), []).append(v)
+        twins = [tuple(group) for group in groups.values() if len(group) > 1]
+        paired = {v for group in twins for v in group}
+        return tuple(sorted(twins + [(v,) for v in range(self.vertex_count) if v not in paired]))
+
 
 @dataclass(frozen=True)
 class Orientation:

@@ -174,6 +174,13 @@ def build_proof_quadruple(
     _check_vertex(graph, target_b)
     if target_a in src or target_b in src:
         raise InputError("targets must lie outside the source set")
+    src_mask = near = 0
+    for s in src:
+        src_mask |= 1 << s
+        near |= graph.neighbor_masks[s]
+    g = (near & ~src_mask).bit_count()  # the size of the out-neighbourhood's ground set
+    if g > _FOUR_FUNCTION_CHECK_CAP:  # checked before 2^g subsets are built and queried
+        raise ResourceLimitError(f"ground set of size {g} exceeds check cap {_FOUR_FUNCTION_CHECK_CAP}")
     dist = out_neighborhood_distribution(graph, src)
     ground = dist.ground
     size = 1 << len(ground)
@@ -239,6 +246,8 @@ class SourceSetPolicy:
 
     def source_sets(self, vertex_count: int) -> Iterator[frozenset[int]]:
         if self.kind == "up_to_size":
+            if self.max_size < 0:
+                raise InputError(f"maximum source set size must be >= 0, got {self.max_size}")
             for k in range(1, min(self.max_size, vertex_count) + 1):
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
@@ -289,17 +298,21 @@ def _verify_triples_exact(
                 joint = engine.joint(src, a, b)
                 slack = joint - p_a * p_b
                 checked += 1
-                label = f"(S={sorted(src)}, a={a}, b={b})"
                 if slack < min_slack and a not in src and b not in src:
                     min_slack = slack
-                    worst = label
+                    worst = _triple_label(src, a, b)
                 if slack < -tolerance:
                     violations.append(
-                        {"instance": label, "slack": slack, "joint": joint, "p_a": p_a, "p_b": p_b}
+                        {"instance": _triple_label(src, a, b), "slack": slack, "joint": joint,
+                         "p_a": p_a, "p_b": p_b}
                     )
     if not math.isfinite(min_slack):
         min_slack = 0.0
     return VerificationReport(checked, min_slack, worst, violations)
+
+
+def _triple_label(src: frozenset[int], a: int, b: int) -> str:
+    return f"(S={sorted(src)}, a={a}, b={b})"
 
 
 def _verify_triples_montecarlo(

@@ -109,6 +109,35 @@ class TestVerify:
         assert code == 0
         assert out["violations"] == []
 
+    @pytest.mark.parametrize("graph", ["star", "complete"])
+    def test_fourfunc_size_cap_is_checked_before_any_query(self, capsys, monkeypatch, tmp_path, graph):
+        def no_query(*args, **kwargs):
+            raise AssertionError("an exact query ran before the size cap was checked")
+
+        monkeypatch.setattr(ExactEngine, "connection", no_query)
+        if graph == "star":
+            path = tmp_path / "star.edges"
+            path.write_text("".join(f"0 {leaf} 0.5\n" for leaf in range(1, 19)))
+            source = ["--graph", str(path)]
+        else:
+            source = ["--complete", "18"]
+        assert main(["fourfunc", *source, "--source", "0", "--a", "1", "--b", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = 18 if graph == "star" else 17
+        assert captured.err == f"resource limit: ground set of size {size} exceeds check cap 16\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-t1", "--random", "n=4,m=4", "--trials", "-1", "--seed", "1"],
+        ["verify-t2", "--random", "n=4,m=4", "--trials", "-1", "--seed", "1"],
+        ["verify-t2", "--complete", "4", "--max-set-size", "-1"],
+    ])
+    def test_negative_counts_are_input_errors(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
     def test_mcdiarmid(self, capsys, tri_path):
         code, out = run_json(capsys, ["mcdiarmid", "--graph", tri_path, "--root", "0"])
         assert code == 0
@@ -266,34 +295,40 @@ def recursion_argv(draw, path):
     _, _, vertex = _small_graph_file(draw, path)
     sources = ",".join(map(str, draw(st.lists(vertex, max_size=3))))
     cap = ["--memo-cap", str(draw(st.integers(-1, 40)))] if draw(st.booleans()) else []
+    trials = ["--trials", str(draw(st.integers(-1, 2)))] if draw(st.booleans()) else []
     command = draw(st.sampled_from(["exact", "verify-t1", "verify-t2", "fourfunc"]))
     if command == "exact":
         argv = ["exact", "--graph", path, "--source", sources, "--target", str(draw(vertex))] + cap
         if draw(st.booleans()):
             argv += ["--target2", str(draw(vertex))]
     elif command == "verify-t1":
-        argv = ["verify-t1", "--graph", path, "--mode", "exact"] + cap
+        argv = ["verify-t1", "--graph", path, "--mode", "exact"] + cap + trials
     elif command == "verify-t2":
         sets = draw(st.integers(-1, 3))
         if draw(st.booleans()):
-            argv = ["verify-t2", "--graph", path, "--max-set-size", str(sets)] + cap
+            argv = ["verify-t2", "--graph", path, "--max-set-size", str(sets)] + cap + trials
         else:
-            argv = ["verify-t2", "--graph", path, "--random-sets", str(sets), "--seed", "1"] + cap
+            argv = ["verify-t2", "--graph", path, "--random-sets", str(sets), "--seed", "1"] + cap + trials
     else:
         argv = ["fourfunc", "--graph", path, "--source", sources,
                 "--a", str(draw(vertex)), "--b", str(draw(vertex))]
     return argv
 
 
+_COUNT_FLAGS = ("--trials", "--max-set-size", "--random-sets")
+
+
 def _assert_exits_cleanly(argv_strategy, data):
-    """Exit 0, 2, 3 or 4 without a traceback; stdout holds the JSON report
-    on success and nothing on failure."""
+    """Exit 0, 2, 3 or 4 without a traceback, and 3 on a negative count;
+    stdout holds the JSON report on success and nothing on failure."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(argv_strategy(str(Path(tmp) / "g.edges")))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if any(flag in _COUNT_FLAGS and int(value) < 0 for flag, value in zip(argv, argv[1:])):
+        assert code == 3, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code:
         assert out.getvalue() == ""

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -281,11 +283,106 @@ class TestPinnedStates:
         assert (joint_r.probability, joint_r.states_visited) == (0.21391531130911384, 8717)
 
     def test_complete_10(self):
+        # K10 at bias 1/2 is one twin class, so states are counted up to twin swaps
         g = complete_graph(10, 0.5)
         conn_r = exact_connection_prob(g, 0, 1)
         joint_r = exact_joint_prob(g, 0, 1, 2)
-        assert (conn_r.probability, conn_r.states_visited) == (0.9959624525508843, 6306)
-        assert (joint_r.probability, joint_r.states_visited) == (0.9939567121828077, 10552)
+        assert (conn_r.probability, conn_r.states_visited) == (0.9959624525508843, 37)
+        assert (joint_r.probability, joint_r.states_visited) == (0.9939567121828077, 65)
+        assert (conn_r.probability, joint_r.probability) == pytest.approx(_complete_unbiased(10), abs=1e-12)
+
+
+def _complete_unbiased(n):
+    """(P(s->t), P(s->a and s->b)) on unbiased K_n, in exact rationals.
+
+    The reachable set from s is a given set A exactly when every edge
+    between A and the rest points into A and s reaches all of A inside A;
+    f[k] is the chance of the latter for |A| = k.
+    """
+    half = Fraction(1, 2)
+    f = [Fraction(0)] * (n + 1)
+    f[1] = Fraction(1)
+    for k in range(2, n + 1):
+        f[k] = 1 - sum(comb(k - 1, j - 1) * f[j] * half ** (j * (k - j)) for j in range(1, k))
+    miss_one = sum(comb(n - 2, j - 1) * f[j] * half ** (j * (n - j)) for j in range(1, n))
+    miss_two = sum(comb(n - 3, j - 1) * f[j] * half ** (j * (n - j)) for j in range(1, n - 1))
+    return float(1 - miss_one), float(1 - 2 * miss_one + miss_two)
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_unbiased_complete_graph_matches_the_closed_form(n):
+    g = complete_graph(n, 0.5)
+    conn_p, joint_p = _complete_unbiased(n)
+    assert exact_connection_prob(g, 0, 1).probability == pytest.approx(conn_p, abs=1e-12)
+    assert exact_joint_prob(g, 0, 1, 2).probability == pytest.approx(joint_p, abs=1e-12)
+    # any labelling of the source and targets gives the same values
+    engine = ExactEngine(g)
+    assert engine.connection([n - 1], n // 2) == pytest.approx(conn_p, abs=1e-12)
+    assert engine.joint([n // 2], n - 1, 0) == pytest.approx(joint_p, abs=1e-12)
+
+
+@st.composite
+def planted_twin_graph(draw):
+    """(graph, planted classes) with n <= 6, labels shuffled so that a
+    class's members interleave with the other vertices.
+
+    A class is an independent set or a clique with bias 1/2 inside. Two
+    classes are joined completely or not at all, with one probability
+    r = P(class i -> class j) from the dyadic biases, so the rows of twins
+    hold equal floats and every planted class is a twin class exactly.
+    """
+    family = draw(st.sampled_from(["complete", "bipartite", "star", "planted"]))
+    if family == "complete":
+        sizes, cliques, joined = [draw(st.integers(2, 6))], [True], {}
+    elif family == "bipartite":
+        sizes = [draw(st.integers(1, 3)), draw(st.integers(2, 3))]
+        cliques, joined = [False, False], {(0, 1): True}
+    elif family == "star":
+        sizes, cliques, joined = [1, draw(st.integers(2, 5))], [False, False], {(0, 1): True}
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda z: sum(z) <= 6))
+        cliques = [draw(st.booleans()) for _ in sizes]
+        joined = {(i, j): draw(st.booleans()) for i, j in itertools.combinations(range(len(sizes)), 2)}
+    n = sum(sizes)
+    labels = draw(st.permutations(range(n)))
+    classes, start = [], 0
+    for c in sizes:
+        classes.append(sorted(labels[start:start + c]))
+        start += c
+    dyadic = st.sampled_from([k / 8 for k in range(9)])
+    edges = []
+    for i, members in enumerate(classes):
+        if cliques[i]:
+            edges += [(u, v, 0.5) for u, v in itertools.combinations(members, 2)]
+    for (i, j), on in joined.items():
+        if on:
+            r = draw(dyadic)
+            edges += [(u, w, r if u < w else 1.0 - r) for u in classes[i] for w in classes[j]]
+    return make_graph(n, edges), classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted=planted_twin_graph(), data=st.data())
+def test_twin_quotient_matches_enumeration(planted, data):
+    g, classes = planted
+    found = {v: set(members) for members in g.twin_classes for v in members}
+    for members in classes:
+        assert set(members) <= found[members[0]]
+    vertex = st.integers(0, g.vertex_count - 1)
+    src = data.draw(st.sets(vertex, min_size=1, max_size=3))
+    # targets in a source's class, or anywhere
+    a = data.draw(st.sampled_from(sorted(found[min(src)])) | vertex)
+    b = data.draw(vertex)
+    within = data.draw(st.none() | st.sets(vertex).map(lambda w: w | src))
+    kept = g if within is None else make_graph(
+        g.vertex_count, [(u, v, p) for u, v, p in g.edges if u in within and v in within]
+    )
+    engine = ExactEngine(g)
+    joint = engine.joint(src, a, b, within=within)
+    assert abs(joint - brute_force_prob(kept, conn(src, a) & conn(src, b)).probability) <= 1e-9
+    for t in (a, b):
+        expected = brute_force_prob(kept, conn(src, t)).probability
+        assert abs(engine.connection(src, t, within=within) - expected) <= 1e-9
 
 
 def _frontier_by_source(graph, remaining, src_mask):

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from orientprob import (
     EventExpr,
+    GridSpec,
     InputError,
     Orientation,
     RandomStream,
+    build_grid,
+    complete_graph,
     holds,
     make_graph,
     parse_graph,
+    path_graph,
     percolation_cluster_distribution,
     random_graph,
     reach_many,
@@ -252,3 +256,31 @@ def test_percolation_cluster_law_matches_scalar_bfs(g, density, data):
     assert law.mass.keys() == expected.keys()
     for mask, w in expected.items():
         assert law.mass[mask] == pytest.approx(w, abs=1e-12)
+
+
+class TestTwinClasses:
+    def test_unbiased_complete_graph_is_one_class(self):
+        assert complete_graph(7, 0.5).twin_classes == (tuple(range(7)),)
+
+    def test_a_bias_other_than_one_half_leaves_singletons(self):
+        # the label order breaks the symmetry: P(u -> w) depends on u < w
+        for g in (complete_graph(7, 0.6), build_grid(GridSpec(4, 5, 0.6)).graph):
+            assert g.twin_classes == tuple((v,) for v in range(g.vertex_count))
+
+    def test_path_ends_are_false_twins_at_bias_one_half(self):
+        assert path_graph(3, 0.5).twin_classes == ((0, 2), (1,))
+        # at 0.6, P(0 -> 1) = 0.6 but P(2 -> 1) = 0.4
+        assert path_graph(3, 0.6).twin_classes == ((0,), (1,), (2,))
+
+    def test_box_2x2_has_two_diagonal_classes(self):
+        assert build_grid(GridSpec(2, 2, 0.5)).graph.twin_classes == ((0, 3), (1, 2))
+
+    def test_isolated_vertices_form_one_class(self):
+        g = make_graph(6, [(1, 2, 0.3), (2, 5, 0.5)])
+        assert g.twin_classes == ((0, 3, 4), (1,), (2,), (5,))
+
+    def test_true_twins_need_bias_one_half_between_them(self):
+        # 0 and 1 are adjacent and see 2 alike; only the 0-1 bias decides
+        shared = [(0, 2, 0.25), (1, 2, 0.25)]
+        assert make_graph(3, shared + [(0, 1, 0.5)]).twin_classes == ((0, 1), (2,))
+        assert make_graph(3, shared + [(0, 1, 0.75)]).twin_classes == ((0,), (1,), (2,))
