@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -108,9 +109,11 @@ def _add_graph_source(parser: argparse.ArgumentParser, allow_random: bool = True
     )
 
 
-def _graphs_from_args(args: argparse.Namespace, trials: int = 1) -> list[Graph]:
-    if trials < 0:
+def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> list[Graph]:
+    if trials is not None and trials < 0:
         raise InputError(f"--trials must be >= 0, got {trials}")
+    if trials is not None and args.random is None:
+        raise UsageError("--trials applies to --random graphs only")
     if args.graph is not None:
         text = Path(args.graph).read_text(encoding="utf-8")
         return [parse_graph(text)]
@@ -126,7 +129,7 @@ def _graphs_from_args(args: argparse.Namespace, trials: int = 1) -> list[Graph]:
     return [
         random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"),
                      biases=biases, seed=args.seed, index=i)
-        for i in range(trials)
+        for i in range(1 if trials is None else trials)
     ]
 
 
@@ -135,7 +138,15 @@ def _emit(args: argparse.Namespace, payload: dict | str) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone; send the interpreter's final flush to
+            # devnull so the run still ends with its own exit code.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _require_seed(args: argparse.Namespace) -> int:
@@ -206,11 +217,11 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
 def _cmd_verify_t2(args: argparse.Namespace) -> int:
     if args.random is not None:
         _require_seed(args)
-    graphs = _graphs_from_args(args, trials=args.trials)
     if args.random_sets is not None:
         policy = SourceSetPolicy.random(args.random_sets, _require_seed(args))
     else:
         policy = SourceSetPolicy.up_to_size(args.max_set_size)
+    graphs = _graphs_from_args(args, trials=args.trials)
     merged = merge_reports(
         verify_theorem_2(g, policy, args.tolerance, memo_cap=args.memo_cap) for g in graphs
     )
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-t1", help="slack sweep over all ordered vertex triples")
     _add_graph_source(p)
-    p.add_argument("--trials", type=int, default=1, help="number of --random graphs to sweep")
+    p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100_000)
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-t2", help="slack sweep with set sources")
     _add_graph_source(p)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--max-set-size", type=int, default=3)
     p.add_argument("--random-sets", type=int, help="sample this many source sets instead")
     p.add_argument("--tolerance", type=float, default=1e-9)

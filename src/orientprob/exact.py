@@ -150,7 +150,7 @@ def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENU
     event.validate_for(graph)
     total = 0.0
     for bits, weights in _enumeration_chunks(graph):
-        ind = event_indicator_many(graph, bits, event)
+        ind = event_indicator_many(graph, bits, [event])[:, 0]
         total += float(weights[ind].sum())
     return ExactResult(_clamp01(total), "enumeration", 1 << m)
 

@@ -375,15 +375,18 @@ def _reach_packed(
     return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
 
 
-def event_indicator_many(graph: Graph, bits: np.ndarray, event: EventExpr) -> np.ndarray:
-    """Boolean indicator of the event for each orientation row of bits."""
-    event.validate_for(graph)
+def event_indicator_many(graph: Graph, bits: np.ndarray, events: Iterable[EventExpr]) -> np.ndarray:
+    """Boolean matrix of shape (k, len(events)): entry [i, j] tells whether
+    event j holds in orientation row i of bits. Each distinct source set is
+    swept once for all the events."""
+    events = list(events)
+    for event in events:
+        event.validate_for(graph)
+    out = np.ones((bits.shape[0], len(events)), dtype=bool)
     cache: dict[frozenset[int], np.ndarray] = {}
-    ind: np.ndarray | None = None
-    for sources, target in event.atoms:
-        if sources not in cache:
-            cache[sources] = reach_many(graph, bits, sources)
-        col = cache[sources][:, target]
-        ind = col.copy() if ind is None else (ind & col)
-    assert ind is not None
-    return ind
+    for j, event in enumerate(events):
+        for sources, target in event.atoms:
+            if sources not in cache:
+                cache[sources] = reach_many(graph, bits, sources)
+            out[:, j] &= cache[sources][:, target]
+    return out

@@ -10,20 +10,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graphs import (
-    Graph,
-    Orientation,
-    RandomStream,
-    make_graph,
-    reach_many,
-    reachable_set,
-)
-from .montecarlo import _chunk_rows, stream_sample_counts
+from .graphs import Graph, Orientation, make_graph, reach_many, reachable_set
+from .montecarlo import _sampled_blocks
 
 TOWARD_HIGH = "toward-high"
 TOWARD_LOW = "toward-low"
 
-_CHUNK_ROWS = 1 << 14
 _SEARCH_BLOCK = 256
 
 
@@ -138,42 +130,28 @@ def grid_reach_stats(
 ) -> GridReachStats:
     """Sampled statistics of the set reachable from the origin: size, escape
     radius (Chebyshev), and how often the right/top boundary is touched."""
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if streams < 1:
-        raise InputError("streams must be >= 1")
     grid = build_grid(spec)
     graph = grid.graph
+    blocks = _sampled_blocks(graph, samples, seed, streams)
     if not (0 <= origin < graph.vertex_count):
         raise InputError(f"origin {origin} outside the grid")
     dist = grid.chebyshev_distances(origin)
     boundary = list(grid.far_boundary)
-    biases = graph.bias_array
-    m = graph.edge_count
-    rows_per_chunk = _chunk_rows(_CHUNK_ROWS, m)
 
     tot_size = 0
     max_size = 0
     tot_radius = 0
     max_radius = 0
     boundary_hits = 0
-    for t, n_t in enumerate(stream_sample_counts(samples, streams)):
-        if n_t == 0:
-            continue
-        stream = RandomStream(seed, t)
-        done = 0
-        while done < n_t:
-            c = min(rows_per_chunk, n_t - done)
-            bits = stream.uniforms((c, m)) < biases
-            reach = reach_many(graph, bits, origin)
-            sizes = reach.sum(axis=1)
-            radii = (reach * dist).max(axis=1)
-            tot_size += int(sizes.sum())
-            max_size = max(max_size, int(sizes.max()))
-            tot_radius += int(radii.sum())
-            max_radius = max(max_radius, int(radii.max()))
-            boundary_hits += int(reach[:, boundary].any(axis=1).sum())
-            done += c
+    for _, bits in blocks:
+        reach = reach_many(graph, bits, origin)
+        sizes = reach.sum(axis=1)
+        radii = (reach * dist).max(axis=1)
+        tot_size += int(sizes.sum())
+        max_size = max(max_size, int(sizes.max()))
+        tot_radius += int(radii.sum())
+        max_radius = max(max_radius, int(radii.max()))
+        boundary_hits += int(reach[:, boundary].any(axis=1).sum())
     return GridReachStats(
         p=spec.bias,
         width=spec.width,
@@ -247,13 +225,7 @@ def find_nonmonotonicity_witness(
     horizontal = [
         e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width
     ]
-    biases = graph.bias_array
-    m = graph.edge_count
-    stream = RandomStream(seed, 0)
-    attempts = 0
-    while attempts < budget:
-        block = min(_SEARCH_BLOCK, budget - attempts)
-        bits = stream.uniforms((block, m)) < biases
+    for rows, bits in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
         connected = reach_many(graph, bits, a)[:, b]
         for r in np.nonzero(connected)[0]:
             orientation = Orientation(tuple(int(x) for x in bits[r]))
@@ -265,6 +237,5 @@ def find_nonmonotonicity_witness(
                     witness = Witness(orientation, e, flip_direction, a, b)
                     if not witness.verify(graph):
                         raise InternalError("witness failed re-verification")
-                    return WitnessSearchResult(witness, attempts + int(r) + 1, budget, seed)
-        attempts += block
-    return WitnessSearchResult(None, attempts, budget, seed)
+                    return WitnessSearchResult(witness, int(rows[r]) + 1, budget, seed)
+    return WitnessSearchResult(None, budget, budget, seed)

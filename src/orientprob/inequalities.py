@@ -236,6 +236,12 @@ class SourceSetPolicy:
     count: int = 0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.max_size < 0:
+            raise InputError(f"maximum source set size must be >= 0, got {self.max_size}")
+        if self.count < 0:
+            raise InputError(f"random source set count must be >= 0, got {self.count}")
+
     @staticmethod
     def up_to_size(k: int) -> "SourceSetPolicy":
         return SourceSetPolicy(kind="up_to_size", max_size=k)
@@ -246,14 +252,10 @@ class SourceSetPolicy:
 
     def source_sets(self, vertex_count: int) -> Iterator[frozenset[int]]:
         if self.kind == "up_to_size":
-            if self.max_size < 0:
-                raise InputError(f"maximum source set size must be >= 0, got {self.max_size}")
             for k in range(1, min(self.max_size, vertex_count) + 1):
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
         elif self.kind == "random":
-            if self.count < 0:
-                raise InputError(f"random source set count must be >= 0, got {self.count}")
             # nonempty subsets sampled with replacement
             stream = RandomStream(self.seed, 0)
             full = (1 << vertex_count) - 1

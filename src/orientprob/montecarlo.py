@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import EventExpr, Graph, RandomStream, reach_many
+from .graphs import EventExpr, Graph, RandomStream, event_indicator_many
+from .graphs import reach_many  # noqa: F401 -- perfbench's tracing test reads montecarlo.reach_many
 
 _CHUNK_ROWS = 1 << 16
 _CHUNK_UNIFORMS = 1 << 22  # float64 draws held at once: 32 MiB
@@ -48,8 +49,38 @@ class EstimateReport:
 
 
 def stream_sample_counts(samples: int, streams: int) -> list[int]:
-    """How many of the `samples` global indices land on each stream."""
-    return [(samples - t + streams - 1) // streams for t in range(streams)]
+    """How many of the `samples` global indices land on each stream, for the
+    first min(samples, streams) streams; any stream past those draws none."""
+    return [(samples - t + streams - 1) // streams for t in range(min(samples, streams))]
+
+
+def _sampled_blocks(
+    graph: Graph, samples: int, seed: int, streams: int, row_cap: int = _CHUNK_ROWS
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The seeded orientations as blocks (rows, bits): the global indices of
+    the block's samples and their (len(rows), m) direction bits. Sample i is
+    drawn from stream i mod streams at counter i div streams; blocks run
+    stream by stream and hold at most _chunk_rows(row_cap, m) rows.
+
+    The counts are checked on the call, not on the first block, so a bad
+    count is reported before a caller sizes anything by it.
+    """
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    if streams < 1:
+        raise InputError("streams must be >= 1")
+    m = graph.edge_count
+    biases = graph.bias_array
+    rows_per_chunk = _chunk_rows(row_cap, m)
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for t, n_t in enumerate(stream_sample_counts(samples, streams)):
+            stream = RandomStream(seed, t)
+            for done in range(0, n_t, rows_per_chunk):
+                c = min(rows_per_chunk, n_t - done)
+                yield t + np.arange(done, done + c) * streams, stream.uniforms((c, m)) < biases
+
+    return blocks()
 
 
 def sampled_event_columns(
@@ -62,37 +93,12 @@ def sampled_event_columns(
     """Indicator matrix of shape (samples, len(events)), rows in global
     sample order. All events are evaluated on the same orientations."""
     events = list(events)
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if streams < 1:
-        raise InputError("streams must be >= 1")
+    blocks = _sampled_blocks(graph, samples, seed, streams)
     for ev in events:
         ev.validate_for(graph)
-    m = graph.edge_count
-    biases = graph.bias_array
     out = np.zeros((samples, len(events)), dtype=bool)
-    counts = stream_sample_counts(samples, streams)
-    rows_per_chunk = _chunk_rows(_CHUNK_ROWS, m)
-    for t in range(streams):
-        n_t = counts[t]
-        if n_t == 0:
-            continue
-        stream = RandomStream(seed, t)
-        done = 0
-        while done < n_t:
-            c = min(rows_per_chunk, n_t - done)
-            bits = stream.uniforms((c, m)) < biases
-            reach_cache: dict[frozenset[int], np.ndarray] = {}
-            rows = t + np.arange(done, done + c) * streams
-            for j, ev in enumerate(events):
-                ind: np.ndarray | None = None
-                for sources, target in ev.atoms:
-                    if sources not in reach_cache:
-                        reach_cache[sources] = reach_many(graph, bits, sources)
-                    col = reach_cache[sources][:, target]
-                    ind = col.copy() if ind is None else (ind & col)
-                out[rows, j] = ind
-            done += c
+    for rows, bits in blocks:
+        out[rows] = event_indicator_many(graph, bits, events)
     return out
 
 

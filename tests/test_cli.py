@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orientprob
 from orientprob import ExactEngine, Witness
 from orientprob.cli import main
 
@@ -96,6 +100,14 @@ class TestVerify:
 
     def test_t1_random_requires_seed(self, capsys):
         assert main(["verify-t1", "--random", "n=4,m=4"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify-t1", "verify-t2"])
+    @pytest.mark.parametrize("source", [["--complete", "4"], ["--grid", "2x2"]])
+    def test_trials_without_random_is_usage_error(self, capsys, command, source):
+        assert main([command, *source, "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --trials applies to --random graphs only\n"
 
     def test_t2_complete_graph(self, capsys):
         code, out = run_json(capsys, ["verify-t2", "--complete", "4", "--max-set-size", "2"])
@@ -227,6 +239,26 @@ class TestGridCommands:
         assert json.loads(out_path.read_text())["prob"] == pytest.approx(0.625, abs=1e-12)
 
 
+class TestClosedStdout:
+    """A reader that closed the pipe does not turn the verdict into a traceback."""
+
+    @pytest.mark.parametrize("argv, verdict", [
+        (["exact", "--complete", "4", "--source", "0", "--target", "1"], 0),
+        (["witness", "--grid", "2x1", "--a", "0,0", "--b", "1,0", "--budget", "10", "--seed", "0"], 4),
+    ])
+    def test_closed_pipe_keeps_the_exit_code(self, argv, verdict):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(orientprob.__file__).parents[1])}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "orientprob.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == verdict, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+
 class TestUsage:
     def test_no_subcommand(self):
         assert main([]) == 2
@@ -315,25 +347,67 @@ def recursion_argv(draw, path):
     return argv
 
 
-_COUNT_FLAGS = ("--trials", "--max-set-size", "--random-sets")
+@st.composite
+def sampled_argv(draw, path):
+    """argv for an entry point that draws samples, on a small graph file, a
+    box up to 4x4 or K_n up to n = 6, with counts from -1 up, streams up to
+    10^6, seeds from -1 and vertex ids that may be out of range. A list
+    that may start with "-" is joined to its flag by "=", as argparse needs."""
+    _, _, vertex = _small_graph_file(draw, path)
+    sources = ",".join(map(str, draw(st.lists(vertex, max_size=3))))
+    samples = ["--samples", str(draw(st.integers(-1, 50)))]
+    streams = ["--streams", str(draw(st.integers(-1, 8) | st.just(10**6)))]
+    seed = ["--seed", draw(st.sampled_from(["-1"] + ["0", "1", "2", "3"] * 3))]
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    box = f"{width}x{height}"
+    xy = st.builds("{},{}".format, st.sampled_from([-1, width] + list(range(width)) * 4),
+                   st.sampled_from([-1, height] + list(range(height)) * 4))
+    bias = st.sampled_from(["0", "0.5", "1", "0.7"] * 3 + ["-0.5", "1.5"])
+    command = draw(st.sampled_from(["mc", "mc-slack", "grid-stats", "witness", "verify-t1", "alm-linusson"]))
+    if command == "mc":
+        argv = ["mc", "--graph", path, f"--source={sources}", "--target", str(draw(vertex))]
+        if draw(st.booleans()):
+            argv += ["--target2", str(draw(vertex))]
+        argv += samples + streams
+    elif command == "mc-slack":
+        argv = ["mc-slack", "--graph", path, f"--source={sources}",
+                "--a", str(draw(vertex)), "--b", str(draw(vertex))] + samples + streams
+    elif command == "grid-stats":
+        biases = ",".join(draw(st.lists(bias, min_size=1, max_size=3)))
+        argv = ["grid-stats", "--grid", box, f"--bias={biases}", f"--origin={draw(xy)}",
+                "--format", "json"] + samples + streams
+    elif command == "witness":
+        argv = ["witness", "--grid", box, f"--bias={draw(bias)}", f"--a={draw(xy)}", f"--b={draw(xy)}",
+                "--flip", draw(st.sampled_from(["toward-high", "toward-low"])),
+                "--budget", str(draw(st.integers(-1, 50)))]
+    elif command == "verify-t1":
+        argv = ["verify-t1", "--graph", path, "--mode", "montecarlo"] + samples + streams
+    else:
+        argv = ["alm-linusson", "--n", str(draw(st.integers(0, 6))), "--mode", "montecarlo"] + samples + streams
+    return argv + seed
 
 
-def _assert_exits_cleanly(argv_strategy, data):
-    """Exit 0, 2, 3 or 4 without a traceback, and 3 on a negative count;
-    stdout holds the JSON report on success and nothing on failure."""
+_COUNT_FLAGS = ("--trials", "--max-set-size", "--random-sets", "--samples", "--streams", "--budget")
+
+
+def _assert_exits_cleanly(argv_strategy, data, reported=(0,)):
+    """Exit 0, 2, 3, 4 or a code in `reported` without a traceback, and 3 on
+    a negative count; stdout holds the JSON report on an exit in `reported`
+    and nothing on any other. Returns the argv and the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(argv_strategy(str(Path(tmp) / "g.edges")))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert code in (0, 2, 3, 4) + tuple(reported), (argv, code, err.getvalue())
     if any(flag in _COUNT_FLAGS and int(value) < 0 for flag, value in zip(argv, argv[1:])):
         assert code == 3, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code:
-        assert out.getvalue() == ""
-    else:
+    if code in reported:
         json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+    return argv, code
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,3 +420,13 @@ def test_enumeration_entry_points_exit_cleanly(data):
 @given(data=st.data())
 def test_recursion_entry_points_exit_cleanly(data):
     _assert_exits_cleanly(recursion_argv, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sampled_entry_points_exit_cleanly(data):
+    # A sampled sweep reports the violations it estimates (exit 1), and an
+    # exhausted witness search reports its attempts (exit 4).
+    argv, code = _assert_exits_cleanly(sampled_argv, data, reported=(0, 1, 4))
+    assert code != 1 or argv[0] == "verify-t1", argv
+    assert code != 4 or argv[0] == "witness", argv

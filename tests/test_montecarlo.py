@@ -5,9 +5,11 @@ from orientprob import (
     EventExpr,
     GridSpec,
     InputError,
+    build_grid,
     estimate_event,
     estimate_slack,
     exact_connection_prob,
+    find_nonmonotonicity_witness,
     grid_reach_stats,
     make_graph,
     random_graph,
@@ -31,6 +33,13 @@ class TestStreamCounts:
                 counts = stream_sample_counts(samples, streams)
                 assert sum(counts) == samples
                 assert max(counts) - min(counts) <= 1
+
+    def test_streams_past_the_last_sample_are_not_listed(self, triangle):
+        assert len(stream_sample_counts(5, 10**6)) == 5
+        events = [conn(0, 1), conn(0, 1) & conn(0, 2)]
+        at_samples = sampled_event_columns(triangle, events, 37, seed=4, streams=37)
+        at_million = sampled_event_columns(triangle, events, 37, seed=4, streams=10**6)
+        assert np.array_equal(at_million, at_samples)
 
 
 class TestEstimateEvent:
@@ -65,21 +74,32 @@ class TestEstimateEvent:
         assert 0.6 < a.estimate < 0.65
 
     def test_uniform_cap_does_not_change_samples(self, monkeypatch):
+        import orientprob.grid as grid
         import orientprob.montecarlo as mc
 
         g = random_graph(6, edge_count=9, biases="uniform", seed=5)
         events = [conn(0, 5), conn({1, 2}, 4) & conn({1, 2}, 3)]
+        box = GridSpec(8, 7, 0.5)
+        box_grid = build_grid(box)
+        a, b = box_grid.id_of(0, 2), box_grid.id_of(7, 4)
 
         def run():
             cols = sampled_event_columns(g, events, 500, seed=3, streams=3)
-            return cols, grid_reach_stats(GridSpec(4, 3, 0.6), 0, 500, seed=3, streams=2)
+            return (cols, grid_reach_stats(GridSpec(4, 3, 0.6), 0, 500, seed=3, streams=2),
+                    find_nonmonotonicity_witness(box, a, b, "toward-high", budget=10_000, seed=3))
 
-        cols, stats = run()
+        cols, stats, witness = run()
+        assert witness.found
         for cap in (1, 20, 1000):  # from one row per chunk to dozens
             monkeypatch.setattr(mc, "_CHUNK_UNIFORMS", cap)
-            capped_cols, capped_stats = run()
+            capped_cols, capped_stats, capped_witness = run()
             assert np.array_equal(capped_cols, cols)
             assert capped_stats == stats
+            assert capped_witness == witness
+        monkeypatch.undo()
+        for block in (1, 7):
+            monkeypatch.setattr(grid, "_SEARCH_BLOCK", block)
+            assert run()[2] == witness
 
     def test_ci_contains_estimate(self, triangle):
         r = estimate_event(triangle, conn(0, 1), samples=10_000, seed=2)
