@@ -33,7 +33,7 @@ from .inequalities import (
     verify_theorem_1,
     verify_theorem_2,
 )
-from .montecarlo import estimate_event, estimate_slack
+from .montecarlo import _check_sample_counts, estimate_event, estimate_slack
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -152,6 +152,8 @@ def _emit(args: argparse.Namespace, payload: dict | str) -> None:
 def _require_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise UsageError("this subcommand is randomized; --seed is required")
+    if args.seed < 0:  # checked here, so also where no graph or sample is drawn
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     return args.seed
 
 
@@ -196,6 +198,8 @@ def _cmd_mc_slack(args: argparse.Namespace) -> int:
 def _cmd_verify_t1(args: argparse.Namespace) -> int:
     if args.mode == "montecarlo" or args.random is not None:
         _require_seed(args)
+    if args.mode == "montecarlo":  # checked even when --trials 0 sweeps no graph
+        _check_sample_counts(args.samples, args.streams, minimum=2)
     graphs = _graphs_from_args(args, trials=args.trials)
     reports = [
         verify_theorem_1(

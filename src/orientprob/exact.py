@@ -13,9 +13,10 @@ is expanded once, and subproblems that differ by a swap of twin vertices
 share one key (see ExactEngine).
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
-bit-sliced kernel `reach_many`. The low edge columns and their weights are
-the same in every block and are built once; a block only fills in the
-constant high columns and scales the weights by their factors.
+bit-sliced kernel `reach_many`, packed from the start. The low edge columns
+and their weights are the same in every block and are built once; a block
+only picks the constant high columns and scales the weights by their
+factors.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graphs import (
     EventExpr,
     Graph,
+    PackedBatch,
     _check_sources,
     _check_vertex,
     event_indicator_many,
@@ -106,40 +108,45 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _enumeration_chunks(graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All 2^m orientations with their probabilities, in blocks of
+def _enumeration_chunks(graph: Graph) -> Iterator[tuple[PackedBatch, np.ndarray]]:
+    """All 2^m orientations with their probabilities, in packed blocks of
     k = 2^min(m, _CHUNK_BITS) rows; row i of the block at `start` is
     orientation start + i, whose bit e is the direction of edge e.
 
     The low columns e < log2 k hold bit e of the row index, the same in every
-    block, and the high columns hold the constant bit e of `start`. The low
-    columns and their weights are built once; each block only sets the high
+    block: periodic ints, 2^e zeros then 2^e ones over and over. The high
+    columns hold the constant bit e of `start`, 0 or all ones. The low
+    columns and their weights are built once; each block only picks the high
     columns and multiplies a copy of the low weights by the high factors.
     Weights are doubled column by column, so every row multiplies its
     factors in edge order, as a per-orientation product would.
 
-    The bits and weights buffers are reused: each block overwrites the
-    previous one, so a caller must finish with a block before asking for the
-    next.
+    The weights buffer is reused: each block overwrites the previous one, so
+    a caller must finish with a block before asking for the next.
     """
     m = graph.edge_count
     low = min(m, _CHUNK_BITS)
     k = 1 << low
+    full = (1 << k) - 1
     biases = graph.bias_array
-    bits = np.empty((k, m), dtype=bool)
-    row_bytes = np.arange(k, dtype="<u4").view(np.uint8).reshape(k, 4)
-    bits[:, :low] = np.unpackbits(row_bytes, axis=1, count=low, bitorder="little")
+    low_columns = []
+    for e in range(low):
+        run = 1 << e
+        column, period = ((1 << run) - 1) << run, 2 * run
+        while period < k:
+            column |= column << period
+            period *= 2
+        low_columns.append(column)
     low_weights = np.ones(1, dtype=np.float64)
     for e in range(low):
         low_weights = np.concatenate((low_weights * (1.0 - biases[e]), low_weights * biases[e]))
     weights = np.empty(k, dtype=np.float64)
     for start in range(0, 1 << m, k):
         high = [(start >> e) & 1 for e in range(low, m)]
-        bits[:, low:] = high
         weights[:] = low_weights
         for e, b in enumerate(high, start=low):
             weights *= biases[e] if b else 1.0 - biases[e]
-        yield bits, weights
+        yield PackedBatch(tuple(low_columns) + tuple(full if b else 0 for b in high), k), weights
 
 
 def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENUM_CAP) -> ExactResult:
@@ -149,8 +156,8 @@ def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENU
         raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     event.validate_for(graph)
     total = 0.0
-    for bits, weights in _enumeration_chunks(graph):
-        ind = event_indicator_many(graph, bits, [event])[:, 0]
+    for batch, weights in _enumeration_chunks(graph):
+        ind = event_indicator_many(graph, batch, [event])[:, 0]
         total += float(weights[ind].sum())
     return ExactResult(_clamp01(total), "enumeration", 1 << m)
 
@@ -164,8 +171,8 @@ def reachable_set_distribution(
     if m > enum_cap:
         raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     acc: dict[int, float] = {}
-    for bits, weights in _enumeration_chunks(graph):
-        reach = reach_many(graph, bits, src)
+    for batch, weights in _enumeration_chunks(graph):
+        reach = reach_many(graph, batch, src)
         _accumulate_row_masses(reach, weights, acc)
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -248,6 +248,10 @@ class RandomStream:
         """Next uniforms in [0,1), consumed in C order."""
         return self._gen.random(shape)
 
+    def words(self, count: int) -> np.ndarray:
+        """Next count raw 64-bit Philox words, as uint64."""
+        return self._gen.bit_generator.random_raw(count)
+
 
 def sample_orientation(graph: Graph, stream: RandomStream) -> Orientation:
     """Draw one orientation: bit e is 1 with probability bias_e, independently."""
@@ -311,44 +315,72 @@ def holds(graph: Graph, orientation: Orientation, event: EventExpr) -> bool:
     return True
 
 
-def reach_many(graph: Graph, bits: np.ndarray, sources: Iterable[int] | int) -> np.ndarray:
+@dataclass(frozen=True)
+class PackedBatch:
+    """k orientations stored by edge: bit i of columns[e] is the direction
+    of edge e in orientation i (1 = low -> high). shape is (k, m), the shape
+    of the bool matrix it stands for, so either can be handed to reach_many."""
+
+    columns: tuple[int, ...]
+    k: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.k, len(self.columns))
+
+    @staticmethod
+    def pack(bits: np.ndarray) -> "PackedBatch":
+        """Pack a (k, m) bit matrix, row i becoming bit i of every column.
+
+        Rows are transposed and packed in blocks of about _PACK_BLOCK_BITS
+        bits, a multiple of 8 rows each, so no full transposed copy of bits is
+        held.
+        """
+        k, m = bits.shape
+        step = 8 * max(1, _PACK_BLOCK_BITS // (8 * max(m, 1)))
+        blocks = [
+            np.packbits(np.ascontiguousarray(bits[i : i + step].T), axis=1, bitorder="little")
+            for i in range(0, k, step)
+        ]
+        columns = tuple(
+            int.from_bytes(b"".join(block[e].tobytes() for block in blocks), "little")
+            for e in range(m)
+        )
+        return PackedBatch(columns, k)
+
+    def unpack(self) -> np.ndarray:
+        """The (k, m) bool matrix: entry [i, e] is bit i of columns[e]."""
+        return _unpack_columns(self.columns, self.k)
+
+
+def _unpack_columns(columns: Sequence[int], k: int) -> np.ndarray:
+    """(k, len(columns)) bool matrix whose column j holds the k low bits of columns[j]."""
+    nbytes = (k + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in columns), dtype=np.uint8)
+    byte_rows = np.ascontiguousarray(packed.reshape(len(columns), nbytes).T)
+    return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
+
+
+def reach_many(graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[int] | int) -> np.ndarray:
     """Reachable-set indicators for many orientations at once.
 
-    bits has shape (k, m) with bits[i, e] the direction of edge e in sample i.
-    Returns a (k, n) boolean matrix; row i is the reachable set from sources.
+    bits is a PackedBatch or a (k, m) bool matrix with bits[i, e] the
+    direction of edge e in sample i; a matrix is packed first. Returns a
+    (k, n) boolean matrix; row i is the reachable set from sources.
 
-    Bit-sliced: each edge's column of k direction bits is packed into one
-    k-bit int, and so is each vertex's reach column. Sweeps run over the edge
-    list forwards and backwards in alternation until a sweep changes nothing,
-    so a directed path costs one sweep per run of rising or falling edge
-    indices along it, where forward-only sweeps would cost one per falling
-    step. Cost O(sweeps * m) big-int ops over k bits.
+    Bit-sliced: each edge's column of k direction bits is one k-bit int, and
+    so is each vertex's reach column. Sweeps run over the edge list forwards
+    and backwards in alternation until a sweep changes nothing, so a
+    directed path costs one sweep per run of rising or falling edge indices
+    along it, where forward-only sweeps would cost one per falling step.
+    Cost O(sweeps * m) big-int ops over k bits.
     """
     src = _check_sources(graph, sources)
-    k = bits.shape[0]
     if bits.shape[1] != graph.edge_count:
         raise InputError("bits matrix width must equal the edge count")
-    fwd = _pack_columns(bits)
-    full = (1 << k) - 1
-    return _reach_packed(graph, fwd, [full ^ f for f in fwd], src, k)
-
-
-def _pack_columns(bits: np.ndarray) -> list[int]:
-    """Column e of a (k, m) bit matrix as one k-bit int; bit i is row i.
-
-    Rows are transposed and packed in blocks of about _PACK_BLOCK_BITS bits,
-    a multiple of 8 rows each, so no full transposed copy of bits is held.
-    """
-    k, m = bits.shape
-    step = 8 * max(1, _PACK_BLOCK_BITS // (8 * max(m, 1)))
-    blocks = [
-        np.packbits(np.ascontiguousarray(bits[i : i + step].T), axis=1, bitorder="little")
-        for i in range(0, k, step)
-    ]
-    return [
-        int.from_bytes(b"".join(block[e].tobytes() for block in blocks), "little")
-        for e in range(m)
-    ]
+    batch = bits if isinstance(bits, PackedBatch) else PackedBatch.pack(bits)
+    full = (1 << batch.k) - 1
+    return _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
 
 
 def _reach_packed(
@@ -369,16 +401,16 @@ def _reach_packed(
         if reach == before:
             break
         steps.reverse()
-    nbytes = (k + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in reach), dtype=np.uint8)
-    byte_rows = np.ascontiguousarray(packed.reshape(len(reach), nbytes).T)
-    return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
+    return _unpack_columns(reach, k)
 
 
-def event_indicator_many(graph: Graph, bits: np.ndarray, events: Iterable[EventExpr]) -> np.ndarray:
+def event_indicator_many(
+    graph: Graph, bits: np.ndarray | PackedBatch, events: Iterable[EventExpr]
+) -> np.ndarray:
     """Boolean matrix of shape (k, len(events)): entry [i, j] tells whether
-    event j holds in orientation row i of bits. Each distinct source set is
-    swept once for all the events."""
+    event j holds in orientation row i of bits, a PackedBatch or a (k, m)
+    bool matrix as for reach_many. Each distinct source set is swept once
+    for all the events."""
     events = list(events)
     for event in events:
         event.validate_for(graph)

@@ -143,8 +143,8 @@ def grid_reach_stats(
     tot_radius = 0
     max_radius = 0
     boundary_hits = 0
-    for _, bits in blocks:
-        reach = reach_many(graph, bits, origin)
+    for _, batch in blocks:
+        reach = reach_many(graph, batch, origin)
         sizes = reach.sum(axis=1)
         radii = (reach * dist).max(axis=1)
         tot_size += int(sizes.sum())
@@ -211,7 +211,12 @@ def find_nonmonotonicity_witness(
     the horizontal edges in index order for one whose flip in the given
     direction destroys the connection (toward-high is rightward, toward-low
     is leftward). Returns the first witness, re-verified, or a not-found
-    report once the budget is exhausted."""
+    report once the budget is exhausted.
+
+    The flips of a block are tested in one kernel call, one lane per
+    (connected orientation, horizontal edge not yet pointing that way) in
+    orientation-then-edge order; the first lane that loses a -> b is the
+    witness a scan of the flips one by one would find first."""
     if budget < 1:
         raise InputError("budget must be >= 1")
     if flip_direction not in (TOWARD_HIGH, TOWARD_LOW):
@@ -222,20 +227,23 @@ def find_nonmonotonicity_witness(
         if not (0 <= v < graph.vertex_count):
             raise InputError(f"vertex {v} outside the grid")
     desired = 1 if flip_direction == TOWARD_HIGH else 0
-    horizontal = [
-        e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width
-    ]
-    for rows, bits in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
-        connected = reach_many(graph, bits, a)[:, b]
-        for r in np.nonzero(connected)[0]:
-            orientation = Orientation(tuple(int(x) for x in bits[r]))
-            for e in horizontal:
-                if orientation.bits[e] == desired:
-                    continue
-                flipped = orientation.with_flipped(e)
-                if b not in reachable_set(graph, flipped, a):
-                    witness = Witness(orientation, e, flip_direction, a, b)
-                    if not witness.verify(graph):
-                        raise InternalError("witness failed re-verification")
-                    return WitnessSearchResult(witness, int(rows[r]) + 1, budget, seed)
+    horizontal = np.array(
+        [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp
+    )
+    for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
+        connected = np.flatnonzero(reach_many(graph, batch, a)[:, b])
+        if not len(connected):
+            continue
+        bits = batch.unpack()[connected]
+        lane_row, lane_edge = np.nonzero(bits[:, horizontal] != desired)
+        lane_edge = horizontal[lane_edge]
+        lanes = bits[lane_row]
+        lanes[np.arange(len(lane_row)), lane_edge] ^= True
+        lost = np.flatnonzero(~reach_many(graph, lanes, a)[:, b])
+        if len(lost):
+            r, e = lane_row[lost[0]], int(lane_edge[lost[0]])
+            witness = Witness(Orientation(tuple(int(x) for x in bits[r])), e, flip_direction, a, b)
+            if not witness.verify(graph):
+                raise InternalError("witness failed re-verification")
+            return WitnessSearchResult(witness, int(rows[connected[r]]) + 1, budget, seed)
     return WitnessSearchResult(None, budget, budget, seed)

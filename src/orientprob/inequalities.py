@@ -24,11 +24,10 @@ from .graphs import (
     RandomStream,
     _check_sources,
     _check_vertex,
-    _pack_columns,
     _reach_packed,
     make_graph,
 )
-from .montecarlo import paired_slacks, sampled_event_columns
+from .montecarlo import _check_sample_counts, paired_slacks, sampled_event_columns
 from . import exact as _exact
 from .exact import (
     DEFAULT_ENUM_CAP,
@@ -320,8 +319,7 @@ def _triple_label(src: frozenset[int], a: int, b: int) -> str:
 def _verify_triples_montecarlo(
     graph: Graph, samples: int, seed: int, streams: int, batches: int = 100
 ) -> VerificationReport:
-    if samples < 2:
-        raise InputError("montecarlo mode needs samples >= 2")
+    _check_sample_counts(samples, streams, minimum=2)
     n = graph.vertex_count
     checked = 0
     min_slack = math.inf
@@ -338,7 +336,8 @@ def _verify_triples_montecarlo(
                 if slack < min_slack:
                     min_slack = slack
                     worst = label
-                if slack < 0.0 and slack <= -4.0 * std_error:
+                # a zero standard error (every batch of one sample) proves nothing
+                if std_error > 0.0 and slack <= -4.0 * std_error:
                     violations.append({"instance": label, "slack": slack, "std_error": std_error})
     if not math.isfinite(min_slack):
         min_slack = 0.0
@@ -358,10 +357,9 @@ def percolation_cluster_distribution(
         raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
     acc: dict[int, float] = {}
-    for open_bits, weights in _enumeration_chunks(uniform):
+    for is_open, weights in _enumeration_chunks(uniform):
         # a cluster is the reach set when every open edge can be crossed both ways
-        open_cols = _pack_columns(open_bits)
-        comp = _reach_packed(graph, open_cols, open_cols, (root,), open_bits.shape[0])
+        comp = _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
         _accumulate_row_masses(comp, weights, acc)
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
 

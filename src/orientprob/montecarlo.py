@@ -3,29 +3,116 @@
 Sample i is drawn from stream (i mod streams) at counter (i div streams), so
 results are bit-identical for a fixed (seed, samples, streams) no matter how
 the streams are scheduled physically.
+
+Orientations are drawn as packed columns, 64 samples to a word. An edge of
+bias p is low -> high exactly when a 53-bit uniform j lies below
+q = ceil(p * 2^53), the law of a double uniform j / 2^53 compared with p.
+For each word of samples the edge reads as many raw Philox words (bit
+planes) as q / 2^53 has binary digits, and compares them with those digits,
+most significant first: bias 1/2 costs one bit per sample, biases 0 and 1
+none. A stream's words go word of samples, then edge, then plane, and every
+draw from a stream but its last covers whole words of samples, so the block
+size never changes the samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import EventExpr, Graph, RandomStream, event_indicator_many
+from .graphs import EventExpr, Graph, PackedBatch, RandomStream, event_indicator_many
 from .graphs import reach_many  # noqa: F401 -- perfbench's tracing test reads montecarlo.reach_many
 
 _CHUNK_ROWS = 1 << 16
-_CHUNK_UNIFORMS = 1 << 22  # float64 draws held at once: 32 MiB
+_CHUNK_WORDS = 1 << 20  # raw words, and words of packed lanes, held per block: 8 MiB each
+_WORD_BITS = 64
+_UNIFORM_BITS = 53  # bits of a double uniform in [0, 1)
+_ONE = 1 << _UNIFORM_BITS
+_ALL_LANES = np.uint64((1 << _WORD_BITS) - 1)
 
 
-def _chunk_rows(row_cap: int, edge_count: int) -> int:
-    """Rows per sampling chunk: at most row_cap, and few enough that the
-    chunk draws at most _CHUNK_UNIFORMS uniforms. Streams are consumed in C
-    order, so the chunk size never changes the samples."""
-    return max(1, min(row_cap, _CHUNK_UNIFORMS // max(edge_count, 1)))
+def _thresholds(biases: np.ndarray) -> np.ndarray:
+    """q = ceil(p * 2^53) per edge, as int64: p * 2^53 is exact, so a 53-bit
+    uniform j is below q exactly when j / 2^53 < p."""
+    return np.minimum(np.ceil(biases * float(_ONE)), float(_ONE)).astype(np.int64)
+
+
+def _plane_counts(q: np.ndarray) -> np.ndarray:
+    """Bit planes read per word of samples: the binary digits of q / 2^53
+    up to its last 1, so 53 minus the trailing zeros of q; 0 for q = 0 and
+    q = 2^53, whose edges are constant."""
+    trailing_zeros = np.frexp((q & -q).astype(np.float64))[1] - 1
+    return np.where((q == 0) | (q == _ONE), 0, _UNIFORM_BITS - trailing_zeros)
+
+
+def _compare_planes(planes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Bit-sliced comparison of 64 uniforms per word with thresholds.
+
+    planes has shape (W, G, L): for word w of lanes and edge g, plane i holds
+    bit 52 - i of each lane's uniform j, most significant first. Each q[g]
+    is 2^53 or a multiple of 2^(53 - L), so the first L bits decide j < q.
+    Returns (W, G) words with a lane's bit set when j < q[g].
+    """
+    words, _, count = planes.shape
+    if count == 0:
+        return np.where(q == _ONE, _ALL_LANES, np.uint64(0))[None, :].repeat(words, axis=0)
+    # the last compared digit of q is a 1 and the bits after it decide nothing
+    out = ~planes[:, :, count - 1]
+    for i in reversed(range(count - 1)):
+        r = planes[:, :, i]
+        # a digit 1 of q: j < q if j's bit is 0, else decided by later bits;
+        # a digit 0: j >= q if j's bit is 1, else decided by later bits
+        out = np.where(((q >> (_UNIFORM_BITS - 1 - i)) & 1) == 1, ~r | out, ~r & out)
+    return out
+
+
+def draw_orientations(graph: Graph, draws: Sequence[tuple[RandomStream, int]]) -> PackedBatch:
+    """The next `count` orientations of each (stream, count) of draws, one
+    draw after another, as packed columns: bit i of column e is the
+    direction of edge e in the i-th, 1 with probability bias_e,
+    independently.
+
+    A draw reads ceil(count / 64) whole words of samples from its stream and
+    drops the unused lanes of the last, so a stream's draws continue one
+    sequence only while each holds a multiple of 64 samples.
+    """
+    q = _thresholds(graph.bias_array)
+    counts = _plane_counts(q)
+    offsets = np.cumsum(counts) - counts
+    planes_per_word = int(counts.sum())
+    groups = [(c, np.flatnonzero(counts == c)) for c in np.unique(counts).tolist()]
+    total = sum(count for _, count in draws)
+    words_total = -(-total // _WORD_BITS)
+    lanes = np.zeros((words_total + 1, graph.edge_count), dtype=np.uint64)  # a spare word for the carry
+    start = 0
+    for stream, count in draws:
+        words = -(-count // _WORD_BITS)
+        raw = stream.words(words * planes_per_word).reshape(words, planes_per_word)
+        drawn = np.empty((words, graph.edge_count), dtype=np.uint64)
+        for c, edges in groups:
+            drawn[:, edges] = _compare_planes(raw[:, offsets[edges, None] + np.arange(c)], q[edges])
+        if count % _WORD_BITS:
+            drawn[-1] &= np.uint64((1 << count % _WORD_BITS) - 1)
+        word, shift = divmod(start, _WORD_BITS)
+        lanes[word : word + words] |= drawn << np.uint64(shift)
+        if shift:
+            lanes[word + 1 : word + words + 1] |= drawn >> np.uint64(_WORD_BITS - shift)
+        start += count
+    data = np.ascontiguousarray(lanes[:words_total].T).astype("<u8", copy=False).tobytes()
+    step = 8 * words_total
+    columns = tuple(int.from_bytes(data[e * step : (e + 1) * step], "little") for e in range(graph.edge_count))
+    return PackedBatch(columns, total)
+
+
+def _check_sample_counts(samples: int, streams: int, minimum: int = 1) -> None:
+    if samples < minimum:
+        raise InputError(f"samples must be >= {minimum}")
+    if streams < 1:
+        raise InputError("streams must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,29 +143,44 @@ def stream_sample_counts(samples: int, streams: int) -> list[int]:
 
 def _sampled_blocks(
     graph: Graph, samples: int, seed: int, streams: int, row_cap: int = _CHUNK_ROWS
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The seeded orientations as blocks (rows, bits): the global indices of
-    the block's samples and their (len(rows), m) direction bits. Sample i is
-    drawn from stream i mod streams at counter i div streams; blocks run
-    stream by stream and hold at most _chunk_rows(row_cap, m) rows.
+) -> Iterator[tuple[np.ndarray, PackedBatch]]:
+    """The seeded orientations as blocks (rows, batch): the global indices of
+    the block's samples and their packed directions. Sample i is drawn from
+    stream i mod streams at counter i div streams. A block holds at most
+    row_cap rows, and no more than _CHUNK_WORDS raw words or words of lanes,
+    but at least one word of samples. It takes the streams in order and may
+    join the end of one to the start of the next. Every draw but a stream's
+    last holds whole words, so the block size never changes the samples.
 
     The counts are checked on the call, not on the first block, so a bad
     count is reported before a caller sizes anything by it.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if streams < 1:
-        raise InputError("streams must be >= 1")
-    m = graph.edge_count
-    biases = graph.bias_array
-    rows_per_chunk = _chunk_rows(row_cap, m)
+    _check_sample_counts(samples, streams)
+    planes = int(_plane_counts(_thresholds(graph.bias_array)).sum())
+    words_per_sample_word = max(planes, graph.edge_count, 1)
+    rows_per_chunk = _WORD_BITS * max(1, min(row_cap // _WORD_BITS, _CHUNK_WORDS // words_per_sample_word))
 
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def blocks() -> Iterator[tuple[np.ndarray, PackedBatch]]:
+        rows: list[np.ndarray] = []
+        draws: list[tuple[RandomStream, int]] = []
+        room = rows_per_chunk
         for t, n_t in enumerate(stream_sample_counts(samples, streams)):
             stream = RandomStream(seed, t)
-            for done in range(0, n_t, rows_per_chunk):
-                c = min(rows_per_chunk, n_t - done)
-                yield t + np.arange(done, done + c) * streams, stream.uniforms((c, m)) < biases
+            done = 0
+            while done < n_t:
+                c = min(room, n_t - done)
+                if c < n_t - done:
+                    c -= c % _WORD_BITS  # the stream goes on after this draw
+                if c:
+                    draws.append((stream, c))
+                    rows.append(t + np.arange(done, done + c) * streams)
+                    done += c
+                    room -= c
+                if not c or not room:
+                    yield np.concatenate(rows), draw_orientations(graph, draws)
+                    rows, draws, room = [], [], rows_per_chunk
+        if draws:
+            yield np.concatenate(rows), draw_orientations(graph, draws)
 
     return blocks()
 
@@ -97,8 +199,8 @@ def sampled_event_columns(
     for ev in events:
         ev.validate_for(graph)
     out = np.zeros((samples, len(events)), dtype=bool)
-    for rows, bits in blocks:
-        out[rows] = event_indicator_many(graph, bits, events)
+    for rows, batch in blocks:
+        out[rows] = event_indicator_many(graph, batch, events)
     return out
 
 
@@ -161,8 +263,7 @@ def estimate_slack(
     All three indicators come from the same sampled orientations. The
     standard error is computed from nonoverlapping batch means.
     """
-    if samples < 2:
-        raise InputError("slack estimation needs samples >= 2")
+    _check_sample_counts(samples, streams, minimum=2)
     ev_a = EventExpr.connection(sources, target_a)
     ev_b = EventExpr.connection(sources, target_b)
     cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)

@@ -150,6 +150,28 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
+    def test_t1_montecarlo_needs_a_standard_error_to_report_a_violation(self, capsys):
+        # with at most 100 samples every batch holds one sample, whose slack
+        # is exactly 0, so every standard error is 0: a negative estimate
+        # then proves nothing and must not be reported
+        min_slacks = []
+        for seed in range(10):
+            for samples in (2, 5, 50, 100):
+                code, out = run_json(capsys, ["verify-t1", "--complete", "4", "--mode", "montecarlo",
+                                              "--samples", str(samples), "--seed", str(seed)])
+                assert code == 0 and out["violations"] == [], (seed, samples, out)
+                min_slacks.append(out["min_slack"])
+        assert min(min_slacks) < 0.0  # estimates below zero were seen, and not flagged
+
+    @pytest.mark.parametrize("flags", [["--samples", "-1"], ["--samples", "1"], ["--streams", "0"],
+                                       ["--seed", "-1"]])
+    def test_t1_montecarlo_arguments_are_checked_with_no_trial(self, capsys, flags):
+        argv = ["verify-t1", "--random", "n=4,m=4", "--seed", "1", "--trials", "0", "--mode", "montecarlo"]
+        assert main(argv + flags) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
     def test_mcdiarmid(self, capsys, tri_path):
         code, out = run_json(capsys, ["mcdiarmid", "--graph", tri_path, "--root", "0"])
         assert code == 0
@@ -350,9 +372,10 @@ def recursion_argv(draw, path):
 @st.composite
 def sampled_argv(draw, path):
     """argv for an entry point that draws samples, on a small graph file, a
-    box up to 4x4 or K_n up to n = 6, with counts from -1 up, streams up to
-    10^6, seeds from -1 and vertex ids that may be out of range. A list
-    that may start with "-" is joined to its flag by "=", as argparse needs."""
+    box up to 4x4, K_n up to n = 6 or up to two random graphs, with counts
+    from -1 up, streams up to 10^6, seeds from -1 and vertex ids that may be
+    out of range. A list that may start with "-" is joined to its flag by
+    "=", as argparse needs."""
     _, _, vertex = _small_graph_file(draw, path)
     sources = ",".join(map(str, draw(st.lists(vertex, max_size=3))))
     samples = ["--samples", str(draw(st.integers(-1, 50)))]
@@ -381,7 +404,11 @@ def sampled_argv(draw, path):
                 "--flip", draw(st.sampled_from(["toward-high", "toward-low"])),
                 "--budget", str(draw(st.integers(-1, 50)))]
     elif command == "verify-t1":
-        argv = ["verify-t1", "--graph", path, "--mode", "montecarlo"] + samples + streams
+        if draw(st.booleans()):
+            graphs = ["--graph", path]
+        else:
+            graphs = ["--random", "n=4,m=4", "--trials", str(draw(st.integers(-1, 2)))]
+        argv = ["verify-t1", *graphs, "--mode", "montecarlo"] + samples + streams
     else:
         argv = ["alm-linusson", "--n", str(draw(st.integers(0, 6))), "--mode", "montecarlo"] + samples + streams
     return argv + seed
@@ -425,8 +452,9 @@ def test_recursion_entry_points_exit_cleanly(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_sampled_entry_points_exit_cleanly(data):
-    # A sampled sweep reports the violations it estimates (exit 1), and an
-    # exhausted witness search reports its attempts (exit 4).
-    argv, code = _assert_exits_cleanly(sampled_argv, data, reported=(0, 1, 4))
-    assert code != 1 or argv[0] == "verify-t1", argv
+    # An exhausted witness search reports its attempts (exit 4). No sweep
+    # here reports a violation (exit 1): with at most 100 samples every
+    # batch holds one sample, so no standard error is positive.
+    argv, code = _assert_exits_cleanly(sampled_argv, data, reported=(0, 4))
     assert code != 4 or argv[0] == "witness", argv
+    assert argv[argv.index("--seed") + 1] != "-1" or code == 3, argv

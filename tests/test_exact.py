@@ -95,12 +95,13 @@ class TestEnumerationBlocks:
         monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
         pairs = list(itertools.combinations(range(5), 2))[:m]
         g = make_graph(5, [(u, v, 0.1 + 0.08 * i) for i, (u, v) in enumerate(pairs)])
-        # the buffers are reused between blocks, so each is copied before the next
-        blocks = [(bits.copy(), weights.copy()) for bits, weights in _enumeration_chunks(g)]
+        # the weights buffer is reused between blocks, so each is copied before the next
+        blocks = [(batch, weights.copy()) for batch, weights in _enumeration_chunks(g)]
         k = 1 << min(m, chunk_bits)
         assert len(blocks) == (1 << m) // k
-        for j, (bits, weights) in enumerate(blocks):
-            assert bits.shape == (k, m) and bits.dtype == bool
+        for j, (batch, weights) in enumerate(blocks):
+            assert batch.shape == (k, m) and all(0 <= c < 1 << k for c in batch.columns)
+            bits = batch.unpack()
             for i in range(k):
                 row = j * k + i
                 w = 1.0

@@ -24,6 +24,8 @@ from orientprob import (
     reachable_set,
     sample_orientation,
 )
+from orientprob.graphs import PackedBatch
+from orientprob.montecarlo import draw_orientations
 
 
 class TestParseGraph:
@@ -221,6 +223,25 @@ def test_reach_many_equals_scalar_reach_on_every_row(g, k, seed, data):
     for i in range(k):
         single = reachable_set(g, Orientation(tuple(int(b) for b in bits[i])), sources)
         assert set(np.flatnonzero(matrix[i]).tolist()) == single
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=graph_with_isolated_vertices(max_edges=20),
+    k=st.sampled_from([0, 1, 7, 8, 63, 64, 65, 130]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reach_many_on_a_packed_batch_equals_its_bool_matrix(g, k, seed, data):
+    sources = data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    bits = rng.random((k, g.edge_count)) < rng.random()
+    packed = PackedBatch.pack(bits)
+    assert packed.shape == bits.shape and np.array_equal(packed.unpack(), bits)
+    assert np.array_equal(reach_many(g, packed, sources), reach_many(g, bits, sources))
+    drawn = draw_orientations(g, [(RandomStream(seed, 1), k)])
+    assert PackedBatch.pack(drawn.unpack()) == drawn
+    assert np.array_equal(reach_many(g, drawn, sources), reach_many(g, drawn.unpack(), sources))
 
 
 def _open_cluster(g, open_bits, root):

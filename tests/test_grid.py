@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+import orientprob.grid as grid_module
 from orientprob import (
     GridSpec,
     InputError,
+    Orientation,
+    Witness,
+    WitnessSearchResult,
     build_grid,
     find_nonmonotonicity_witness,
     grid_reach_stats,
+    reachable_set,
 )
+from orientprob.montecarlo import _sampled_blocks
 
 # documented fixed seed for the 8x7 witness search
 WITNESS_SEED = 0
@@ -155,6 +161,44 @@ class TestWitnessSearch:
         r1 = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=10_000, seed=3)
         r2 = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=10_000, seed=3)
         assert r1 == r2
+
+    @pytest.mark.parametrize("block", [64, 256])
+    @pytest.mark.parametrize("case", [
+        (8, 7, 0.5, (0, 2), (7, 4), "toward-high", 0),
+        (8, 7, 0.5, (0, 2), (7, 4), "toward-low", 1),
+        (5, 4, 0.6, (0, 1), (4, 2), "toward-high", 2),
+        (5, 4, 0.4, (0, 3), (4, 0), "toward-low", 3),
+        (3, 3, 0.5, (0, 0), (2, 2), "toward-high", 4),
+        (2, 1, 0.5, (0, 0), (1, 0), "toward-high", 5),  # never found
+        (4, 3, 0.5, (1, 1), (1, 1), "toward-low", 6),  # a = b: never lost
+    ])
+    def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
+        width, height, bias, a_xy, b_xy, flip, seed = case
+        monkeypatch.setattr(grid_module, "_SEARCH_BLOCK", block)
+        spec = GridSpec(width, height, bias)
+        graph = build_grid(spec).graph
+        a, b = a_xy[1] * width + a_xy[0], b_xy[1] * width + b_xy[0]
+        budget = 3_000
+        desired = 1 if flip == "toward-high" else 0
+        horizontal = [e for e, (u, v, _) in enumerate(graph.edges) if v == u + 1 and u // width == v // width]
+
+        def scalar_scan():
+            # one reachable_set per flip, over the same orientations in the same order
+            for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=block):
+                for r, row in zip(rows, batch.unpack()):
+                    orientation = Orientation(tuple(int(x) for x in row))
+                    if b not in reachable_set(graph, orientation, a):
+                        continue
+                    for e in horizontal:
+                        if orientation.bits[e] != desired and b not in reachable_set(
+                            graph, orientation.with_flipped(e), a
+                        ):
+                            return WitnessSearchResult(Witness(orientation, e, flip, a, b), int(r) + 1, budget, seed)
+            return WitnessSearchResult(None, budget, budget, seed)
+
+        expected = scalar_scan()
+        assert find_nonmonotonicity_witness(spec, a, b, flip, budget, seed) == expected
+        assert expected.found == (seed < 5)
 
     def test_bad_direction_rejected(self):
         with pytest.raises(InputError):

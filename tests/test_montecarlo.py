@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from orientprob import (
     EventExpr,
     GridSpec,
     InputError,
+    RandomStream,
     build_grid,
     estimate_event,
     estimate_slack,
@@ -15,7 +19,11 @@ from orientprob import (
     random_graph,
 )
 from orientprob.montecarlo import (
+    _compare_planes,
+    _plane_counts,
+    _thresholds,
     batch_means_std_error,
+    draw_orientations,
     paired_slacks,
     sampled_event_columns,
     stream_sample_counts,
@@ -90,14 +98,14 @@ class TestEstimateEvent:
 
         cols, stats, witness = run()
         assert witness.found
-        for cap in (1, 20, 1000):  # from one row per chunk to dozens
-            monkeypatch.setattr(mc, "_CHUNK_UNIFORMS", cap)
+        for cap in (1, 1000, 2000):  # from one word of 64 samples per block to several
+            monkeypatch.setattr(mc, "_CHUNK_WORDS", cap)
             capped_cols, capped_stats, capped_witness = run()
             assert np.array_equal(capped_cols, cols)
             assert capped_stats == stats
             assert capped_witness == witness
         monkeypatch.undo()
-        for block in (1, 7):
+        for block in (64, 448):  # one word and seven; blocks hold whole words
             monkeypatch.setattr(grid, "_SEARCH_BLOCK", block)
             assert run()[2] == witness
 
@@ -199,3 +207,101 @@ class TestSampledColumns:
         ]
         # stream 0's own sequence (streams=1 uses only stream 0)
         assert (cols4[0::4, 0] == cols_single[0][:, 0]).all()
+
+
+DRAW_BIASES = [0.0, 1.0, 0.5, 0.25, 0.75, 0.1, 1 / 3, 0.6, 2.0**-60, 1 - 2.0**-53]
+
+
+def _expected_threshold(p):
+    """ceil(p * 2^53) in exact rational arithmetic, and its count of binary
+    digits after the point up to the last 1 (0 for the constant edges)."""
+    q = min(math.ceil(Fraction(p) * 2**53), 2**53)
+    if q in (0, 2**53):
+        return q, 0
+    return q, 53 - ((q & -q).bit_length() - 1)
+
+
+def _plane_words(prefixes, count):
+    """(W, 1, count) plane words for lanes whose uniforms start with the
+    given count-bit prefixes, most significant plane first; W words hold
+    the lanes 64 to a word, the unused lanes of the last word being 0."""
+    words = -(-len(prefixes) // 64)
+    lanes = np.zeros((count, 64 * words), dtype=bool)
+    for i in range(count):
+        lanes[i, : len(prefixes)] = (np.asarray(prefixes) >> (count - 1 - i)) & 1
+    packed = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(packed.T)[:, None, :]
+
+
+def _lane_bits(words, lanes):
+    return np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:lanes].astype(bool)
+
+
+class TestPlaneDraw:
+    @pytest.mark.parametrize("p", DRAW_BIASES)
+    def test_plane_comparison_keeps_the_law_of_each_bias(self, p):
+        q, count = _expected_threshold(p)
+        thresholds = _thresholds(np.array([p]))
+        assert (int(thresholds[0]), int(_plane_counts(thresholds)[0])) == (q, count)
+        if count <= 12:
+            # every pattern of the compared planes, once: the lanes that come
+            # out true must weigh exactly q / 2^53
+            lanes = 1 << count
+            out = _compare_planes(_plane_words(list(range(lanes)), count), np.array([q]))
+            assert int(_lane_bits(out[:, 0], lanes).sum()) << (53 - count) == q
+            return
+        top = q >> (53 - count)  # the compared bits: q / 2^53 to `count` binary digits
+        assert format(top, f"0{count}b") == format(q, "053b")[:count]
+        rng = np.random.default_rng(count)
+        draws = [int(x) for x in rng.integers(0, 1 << count, size=300, dtype=np.uint64)]
+        prefixes = [x for x in draws + [top - 1, top, top + 1, 0, (1 << count) - 1] if 0 <= x < 1 << count]
+        out = _compare_planes(_plane_words(prefixes, count), np.array([q]))
+        assert _lane_bits(out[:, 0], len(prefixes)).tolist() == [x < top for x in prefixes]
+
+    @pytest.mark.parametrize("p", DRAW_BIASES + [0.3, 0.999, 1e-300, 5e-324])
+    def test_threshold_is_the_law_of_a_double_uniform(self, p):
+        # Generator.random() is (raw >> 11) / 2^53, so it lies below p exactly
+        # when the 53-bit integer j = raw >> 11 lies below q
+        q = int(_thresholds(np.array([p]))[0])
+        rng = np.random.default_rng(7)
+        js = [int(j) for j in rng.integers(0, 2**53, size=200)] + [0, q - 1, q, q + 1, 2**53 - 1]
+        for j in js:
+            if 0 <= j < 2**53:
+                assert (j * 2.0**-53 < p) == (j < q)
+
+    def test_draw_reads_words_by_sample_word_then_edge_then_plane(self):
+        biases = [0.5, 0.0, 0.3, 0.25, 1.0, 0.6]
+        g = make_graph(7, [(e, e + 1, p) for e, p in enumerate(biases)])
+        count = 150  # two whole words of samples and part of a third
+        batch = draw_orientations(g, [(RandomStream(11, 2), count)])
+        assert batch.shape == (count, len(biases))
+        plan = [_expected_threshold(p) for p in biases]
+        raw = iter(RandomStream(11, 2).words(3 * sum(c for _, c in plan)).tolist())
+        expected = np.zeros((3 * 64, len(biases)), dtype=bool)
+        for w in range(3):
+            for e, (q, c) in enumerate(plan):
+                planes = [next(raw) for _ in range(c)]
+                for lane in range(64):
+                    prefix = 0
+                    for word in planes:
+                        prefix = 2 * prefix + ((word >> lane) & 1)
+                    expected[64 * w + lane, e] = q == 2**53 or prefix < q >> (53 - c)
+        assert np.array_equal(batch.unpack(), expected[:count])
+        assert all(0 <= col < 1 << count for col in batch.columns)
+
+    def test_joined_draws_stack_the_separate_draws(self):
+        g = random_graph(6, edge_count=9, biases="uniform", seed=5)
+        counts = [50, 64, 70, 1, 130, 3]
+        joined = draw_orientations(g, [(RandomStream(9, t), c) for t, c in enumerate(counts)])
+        separate = [draw_orientations(g, [(RandomStream(9, t), c)]).unpack() for t, c in enumerate(counts)]
+        assert joined.shape == (sum(counts), g.edge_count)
+        assert np.array_equal(joined.unpack(), np.vstack(separate))
+        assert all(0 <= col < 1 << sum(counts) for col in joined.columns)
+        # whole words continue a stream's sequence
+        stream = RandomStream(9, 0)
+        assert draw_orientations(g, [(stream, 128), (stream, 70)]) == draw_orientations(g, [(RandomStream(9, 0), 198)])
+
+    def test_drawn_frequencies_match_the_biases(self):
+        g = make_graph(6, [(0, e + 1, p) for e, p in enumerate([0.5, 0.1, 1 / 3, 0.6, 0.999])])
+        freq = draw_orientations(g, [(RandomStream(4), 200_000)]).unpack().mean(axis=0)
+        assert np.all(np.abs(freq - g.bias_array) <= 5 * np.sqrt(g.bias_array * (1 - g.bias_array) / 200_000))
