@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .exact import (
@@ -91,15 +92,12 @@ def _parse_random_spec(text: str) -> dict:
     return spec
 
 
-def _add_graph_source(parser: argparse.ArgumentParser, allow_random: bool = True) -> None:
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="PATH", help="edge-list file")
     group.add_argument("--grid", metavar="WxH", help="grid box, bias from --bias")
     group.add_argument("--complete", type=int, metavar="N", help="complete graph, bias from --bias")
-    if allow_random:
-        group.add_argument(
-            "--random", metavar="SPEC", help="seeded random graph, e.g. n=5,m=8 or n=5,p=0.4"
-        )
+    group.add_argument("--random", metavar="SPEC", help="seeded random graph, e.g. n=5,m=8 or n=5,p=0.4")
     parser.add_argument("--bias", type=float, default=0.5, help="edge bias for --grid/--complete (default 0.5)")
     parser.add_argument(
         "--bias-policy",
@@ -123,7 +121,7 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
     if args.complete is not None:
         return [complete_graph(args.complete, args.bias)]
     spec = _parse_random_spec(args.random)
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         raise UsageError("--random requires --seed")
     biases = "uniform" if args.bias_policy == "uniform" else float(args.bias)
     return [
@@ -135,7 +133,7 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
 
 def _emit(args: argparse.Namespace, payload: dict | str) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         try:
@@ -157,14 +155,19 @@ def _require_seed(args: argparse.Namespace) -> int:
     return args.seed
 
 
+def _event(args: argparse.Namespace, sources: list[int]) -> EventExpr:
+    """sources -> --target, and sources -> --target2 too when it is given."""
+    event = EventExpr.connection(sources, args.target)
+    if args.target2 is not None:
+        event = event & EventExpr.connection(sources, args.target2)
+    return event
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     graph = _graphs_from_args(args)[0]
     sources = _parse_int_list(args.source)
     if args.method == "enumeration":
-        event = EventExpr.connection(sources, args.target)
-        if args.target2 is not None:
-            event = event & EventExpr.connection(sources, args.target2)
-        result = brute_force_prob(graph, event, enum_cap=args.enum_cap)
+        result = brute_force_prob(graph, _event(args, sources), enum_cap=args.enum_cap)
     elif args.target2 is not None:
         result = exact_joint_prob(graph, sources, args.target, args.target2, memo_cap=args.memo_cap)
     else:
@@ -176,10 +179,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     graph = _graphs_from_args(args)[0]
     seed = _require_seed(args)
-    sources = _parse_int_list(args.source)
-    event = EventExpr.connection(sources, args.target)
-    if args.target2 is not None:
-        event = event & EventExpr.connection(sources, args.target2)
+    event = _event(args, _parse_int_list(args.source))
     report = estimate_event(graph, event, args.samples, seed, args.streams)
     _emit(args, report.as_dict())
     return EXIT_OK
@@ -274,9 +274,9 @@ def _cmd_grid_stats(args: argparse.Namespace) -> int:
         raise InputError(f"--bias must be a comma-separated list of numbers, got {args.bias!r}") from None
     rows = []
     for p in biases:
-        spec = GridSpec(w, h, p)
-        origin = build_grid(spec).id_of(*_parse_xy(args.origin))
-        rows.append(grid_reach_stats(spec, origin, args.samples, seed, args.streams))
+        grid = build_grid(GridSpec(w, h, p))
+        origin = grid.id_of(*_parse_xy(args.origin))
+        rows.append(grid_reach_stats(grid, origin, args.samples, seed, args.streams))
     if args.format == "csv":
         _emit(args, "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]))
     else:
@@ -287,11 +287,10 @@ def _cmd_grid_stats(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     w, h = _parse_grid_dims(args.grid)
-    spec = GridSpec(w, h, args.bias)
-    grid = build_grid(spec)
+    grid = build_grid(GridSpec(w, h, args.bias))
     a = grid.id_of(*_parse_xy(args.a))
     b = grid.id_of(*_parse_xy(args.b))
-    result = find_nonmonotonicity_witness(spec, a, b, args.flip, args.budget, seed)
+    result = find_nonmonotonicity_witness(grid, a, b, args.flip, args.budget, seed)
     if result.found:
         w_ = result.witness
         edge = grid.graph.edges[w_.edge_index]
@@ -317,124 +316,101 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", metavar="PATH", help="write machine output to a file instead of stdout")
+    # Flags that several subcommands take, each declared once in a parent
+    # parser. Every subcommand built from a parent shares its actions, so
+    # their defaults are set here only: a subcommand's set_defaults on one
+    # of them would change it for all.
+    graph = argparse.ArgumentParser(add_help=False)
+    _add_graph_source(graph)
+    streams = argparse.ArgumentParser(add_help=False)
+    streams.add_argument("--streams", type=int, default=1)
+    memo_cap = argparse.ArgumentParser(add_help=False)
+    memo_cap.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    seed_output = argparse.ArgumentParser(add_help=False)
+    seed_output.add_argument("--seed", type=int, help="seed of every random draw (samples, --random, --random-sets)")
+    seed_output.add_argument("--output", metavar="PATH", help="write machine output to a file instead of stdout")
 
-    p = sub.add_parser("exact", help="exact connection or joint probability")
-    _add_graph_source(p)
+    def command(name: str, func: Callable[[argparse.Namespace], int], summary: str,
+                *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[*parents, seed_output])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("exact", _cmd_exact, "exact connection or joint probability", graph, memo_cap, enum_cap)
     p.add_argument("--source", required=True, help="comma-separated source vertex ids")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--target2", type=int, help="second target for a joint event")
     p.add_argument("--method", choices=["recursion", "enumeration"], default="recursion")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
-    p.add_argument("--seed", type=int, help="seed (needed for --random graphs)")
-    common(p)
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("mc", help="Monte Carlo event estimate")
-    _add_graph_source(p)
+    p = command("mc", _cmd_mc, "Monte Carlo event estimate", graph, streams)
     p.add_argument("--source", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--target2", type=int)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--streams", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("mc-slack", help="paired Monte Carlo slack estimate")
-    _add_graph_source(p)
+    p = command("mc-slack", _cmd_mc_slack, "paired Monte Carlo slack estimate", graph, streams)
     p.add_argument("--source", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--streams", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_mc_slack)
 
-    p = sub.add_parser("verify-t1", help="slack sweep over all ordered vertex triples")
-    _add_graph_source(p)
+    p = command("verify-t1", _cmd_verify_t1, "slack sweep over all ordered vertex triples", graph, streams, memo_cap)
     p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--streams", type=int, default=1)
-    p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
-    common(p)
-    p.set_defaults(func=_cmd_verify_t1)
 
-    p = sub.add_parser("verify-t2", help="slack sweep with set sources")
-    _add_graph_source(p)
+    p = command("verify-t2", _cmd_verify_t2, "slack sweep with set sources", graph, memo_cap)
     p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--max-set-size", type=int, default=3)
     p.add_argument("--random-sets", type=int, help="sample this many source sets instead")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
-    common(p)
-    p.set_defaults(func=_cmd_verify_t2)
 
-    p = sub.add_parser("fourfunc", help="build and check the conditioned quadruple")
-    _add_graph_source(p)
+    p = command("fourfunc", _cmd_fourfunc, "build and check the conditioned quadruple", graph)
     p.add_argument("--source", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_fourfunc)
 
-    p = sub.add_parser("mcdiarmid", help="orientation reach law vs percolation cluster law")
-    _add_graph_source(p)
+    p = command("mcdiarmid", _cmd_mcdiarmid, "orientation reach law vs percolation cluster law", graph, enum_cap)
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_mcdiarmid)
 
-    p = sub.add_parser("alm-linusson", help="covariance of a->s and s->b on an unbiased complete graph")
+    p = command("alm-linusson", _cmd_alm_linusson, "covariance of a->s and s->b on an unbiased complete graph",
+                streams, enum_cap)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--streams", type=int, default=1)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    common(p)
-    p.set_defaults(func=_cmd_alm_linusson)
 
-    p = sub.add_parser("grid-stats", help="sampled reach statistics on a grid box")
+    p = command("grid-stats", _cmd_grid_stats, "sampled reach statistics on a grid box", streams)
     p.add_argument("--grid", required=True, metavar="WxH")
     p.add_argument("--bias", default="0.5", help="comma-separated list of biases, one CSV row each")
     p.add_argument("--origin", default="0,0", metavar="x,y")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    common(p)
-    p.set_defaults(func=_cmd_grid_stats)
 
-    p = sub.add_parser("witness", help="search for a connection-breaking single-edge flip")
+    p = command("witness", _cmd_witness, "search for a connection-breaking single-edge flip")
     p.add_argument("--grid", required=True, metavar="WxH")
     p.add_argument("--bias", type=float, default=0.5)
     p.add_argument("--a", required=True, metavar="x,y")
     p.add_argument("--b", required=True, metavar="x,y")
     p.add_argument("--flip", choices=["toward-high", "toward-low"], default="toward-high")
     p.add_argument("--budget", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_witness)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call, reused by the rest
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

@@ -122,7 +122,7 @@ class GridReachStats:
 
 
 def grid_reach_stats(
-    spec: GridSpec,
+    grid: Grid,
     origin: int,
     samples: int,
     seed: int,
@@ -130,8 +130,7 @@ def grid_reach_stats(
 ) -> GridReachStats:
     """Sampled statistics of the set reachable from the origin: size, escape
     radius (Chebyshev), and how often the right/top boundary is touched."""
-    grid = build_grid(spec)
-    graph = grid.graph
+    spec, graph = grid.spec, grid.graph
     blocks = _sampled_blocks(graph, samples, seed, streams)
     if not (0 <= origin < graph.vertex_count):
         raise InputError(f"origin {origin} outside the grid")
@@ -200,7 +199,7 @@ class WitnessSearchResult:
 
 
 def find_nonmonotonicity_witness(
-    spec: GridSpec,
+    grid: Grid,
     a: int,
     b: int,
     flip_direction: str,
@@ -221,8 +220,7 @@ def find_nonmonotonicity_witness(
         raise InputError("budget must be >= 1")
     if flip_direction not in (TOWARD_HIGH, TOWARD_LOW):
         raise InputError(f"flip_direction must be {TOWARD_HIGH!r} or {TOWARD_LOW!r}")
-    grid = build_grid(spec)
-    graph = grid.graph
+    spec, graph = grid.spec, grid.graph
     for v in (a, b):
         if not (0 <= v < graph.vertex_count):
             raise InputError(f"vertex {v} outside the grid")

@@ -317,7 +317,7 @@ def _triple_label(src: frozenset[int], a: int, b: int) -> str:
 
 
 def _verify_triples_montecarlo(
-    graph: Graph, samples: int, seed: int, streams: int, batches: int = 100
+    graph: Graph, samples: int, seed: int, streams: int
 ) -> VerificationReport:
     _check_sample_counts(samples, streams, minimum=2)
     n = graph.vertex_count
@@ -327,7 +327,7 @@ def _verify_triples_montecarlo(
     violations: list[dict] = []
     for s in range(n):
         events = [EventExpr.connection(s, t) for t in range(n)]
-        est, se = paired_slacks(sampled_event_columns(graph, events, samples, seed, streams), batches)
+        est, se = paired_slacks(sampled_event_columns(graph, events, samples, seed, streams))
         for a in range(n):
             for t in range(n):
                 slack, std_error = float(est[a, t]), float(se[a, t])
@@ -418,7 +418,6 @@ def alm_linusson_covariance(
     seed: int = 0,
     streams: int = 1,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    batches: int = 100,
 ) -> AlmLinussonResult:
     """Covariance of the events a->s and s->b on an unbiased complete graph,
     for three distinct labeled vertices (s, a, b) = (0, 1, 2); any labeling
@@ -443,6 +442,6 @@ def alm_linusson_covariance(
         p_b = int(cb.sum()) / samples
         p_ab = int(cab.sum()) / samples
         cov = p_ab - p_a * p_b
-        se = float(paired_slacks(cols, batches)[1][0, 1])
+        se = float(paired_slacks(cols)[1][0, 1])
         return AlmLinussonResult(n, cov, p_a, p_b, p_ab, "montecarlo", samples, se, seed)
     raise InputError(f"unknown mode {mode!r}")

@@ -33,6 +33,7 @@ _WORD_BITS = 64
 _UNIFORM_BITS = 53  # bits of a double uniform in [0, 1)
 _ONE = 1 << _UNIFORM_BITS
 _ALL_LANES = np.uint64((1 << _WORD_BITS) - 1)
+_SLACK_BATCHES = 100  # nonoverlapping batches behind a slack's standard error
 
 
 def _thresholds(biases: np.ndarray) -> np.ndarray:
@@ -224,7 +225,7 @@ def batch_means_std_error(batch_values: np.ndarray) -> float:
     return float(np.std(batch_values, ddof=1) / math.sqrt(b))
 
 
-def paired_slacks(cols: np.ndarray, batches: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def paired_slacks(cols: np.ndarray, batches: int = _SLACK_BATCHES) -> tuple[np.ndarray, np.ndarray]:
     """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
     a (samples, k) indicator matrix, all events read on the same samples.
 
@@ -238,14 +239,17 @@ def paired_slacks(cols: np.ndarray, batches: int = 100) -> tuple[np.ndarray, np.
     p = x.sum(axis=0) / samples
     est = (x.T @ x) / samples - p[:, None] * p[None, :]
     b = min(batches, samples)
+    if b < 2:
+        return est, np.zeros_like(est)
     bounds = [i * samples // b for i in range(b + 1)]
     sizes = np.diff(bounds)[:, None]
     batch_p = np.add.reduceat(x, bounds[:-1], axis=0) / sizes
     batch_joint = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     batch_slacks = batch_joint / sizes[:, :, None] - batch_p[:, :, None] * batch_p[:, None, :]
+    # each pair's batch values contiguous, so the reduction runs over them as
+    # batch_means_std_error does and gives the same floats
     per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))
-    se = np.array([[batch_means_std_error(vals) for vals in row] for row in per_pair])
-    return est, se
+    return est, np.std(per_pair, axis=-1, ddof=1) / math.sqrt(b)
 
 
 def estimate_slack(
@@ -256,7 +260,6 @@ def estimate_slack(
     samples: int,
     seed: int,
     streams: int = 1,
-    batches: int = 100,
 ) -> tuple[float, float]:
     """Paired estimate of P(S->a and S->b) - P(S->a)P(S->b).
 
@@ -267,5 +270,5 @@ def estimate_slack(
     ev_a = EventExpr.connection(sources, target_a)
     ev_b = EventExpr.connection(sources, target_b)
     cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
-    est, se = paired_slacks(cols, batches)
+    est, se = paired_slacks(cols)
     return float(est[0, 1]), float(se[0, 1])

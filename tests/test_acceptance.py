@@ -243,9 +243,11 @@ def test_criterion_8_witness_search():
     spec = GridSpec(8, 7, 0.5)
     grid = build_grid(spec)
     a, b = grid.id_of(0, 2), grid.id_of(7, 4)
-    res = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=1_000_000, seed=WITNESS_SEED)
+    res = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=1_000_000, seed=WITNESS_SEED)
     found_ok = res.found and res.attempts <= 1_000_000 and res.witness.verify(grid.graph)
-    res2 = find_nonmonotonicity_witness(GridSpec(2, 1, 0.5), 0, 1, "toward-high", budget=1_000, seed=0)
+    res2 = find_nonmonotonicity_witness(
+        build_grid(GridSpec(2, 1, 0.5)), 0, 1, "toward-high", budget=1_000, seed=0
+    )
     _report(
         "8 witness-search",
         found_ok and not res2.found,
@@ -257,9 +259,9 @@ def test_criterion_9_grid_determinism():
     """p=1 reaches the full box and p=0 only the origin, on every tested size."""
     ok = True
     for w, h in ((1, 1), (2, 2), (3, 5), (8, 7), (8, 8)):
-        full = grid_reach_stats(GridSpec(w, h, 1.0), 0, samples=100, seed=SUITE_SEED)
+        full = grid_reach_stats(build_grid(GridSpec(w, h, 1.0)), 0, samples=100, seed=SUITE_SEED)
         ok = ok and full.mean_reach == w * h and full.max_reach == w * h and full.boundary_frac == 1.0
-        trapped = grid_reach_stats(GridSpec(w, h, 0.0), 0, samples=100, seed=SUITE_SEED)
+        trapped = grid_reach_stats(build_grid(GridSpec(w, h, 0.0)), 0, samples=100, seed=SUITE_SEED)
         ok = ok and trapped.mean_reach == 1.0 and trapped.max_radius == 0
         if w > 1 and h > 1:
             ok = ok and trapped.boundary_frac == 0.0

@@ -59,25 +59,25 @@ class TestBuildGrid:
 class TestReachStats:
     @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (5, 3), (8, 7)])
     def test_bias_one_fills_grid(self, w, h):
-        st = grid_reach_stats(GridSpec(w, h, 1.0), 0, samples=50, seed=4)
+        st = grid_reach_stats(build_grid(GridSpec(w, h, 1.0)), 0, samples=50, seed=4)
         assert st.mean_reach == w * h
         assert st.max_reach == w * h
         assert st.boundary_frac == 1.0
 
     @pytest.mark.parametrize("w,h", [(2, 2), (5, 3), (8, 7)])
     def test_bias_zero_traps_origin(self, w, h):
-        st = grid_reach_stats(GridSpec(w, h, 0.0), 0, samples=50, seed=4)
+        st = grid_reach_stats(build_grid(GridSpec(w, h, 0.0)), 0, samples=50, seed=4)
         assert st.mean_reach == 1.0
         assert st.max_radius == 0
         assert st.boundary_frac == 0.0
 
     def test_deterministic_given_seed(self):
-        a = grid_reach_stats(GridSpec(6, 6, 0.5), 0, samples=2_000, seed=9, streams=4)
-        b = grid_reach_stats(GridSpec(6, 6, 0.5), 0, samples=2_000, seed=9, streams=4)
+        a = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
+        b = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
         assert a == b
 
     def test_csv_row_matches_header(self):
-        st = grid_reach_stats(GridSpec(3, 3, 0.5), 0, samples=100, seed=1)
+        st = grid_reach_stats(build_grid(GridSpec(3, 3, 0.5)), 0, samples=100, seed=1)
         fields = st.csv_row().split(",")
         assert len(fields) == len(st.CSV_HEADER.split(","))
         assert float(fields[0]) == 0.5
@@ -88,9 +88,10 @@ class TestReachStats:
         w = h = 8
         spec = GridSpec(w, h, 0.5)
         samples = 20_000
-        st = grid_reach_stats(spec, 0, samples=samples, seed=77)
+        grid = build_grid(spec)
+        st = grid_reach_stats(grid, 0, samples=samples, seed=77)
 
-        graph = build_grid(spec).graph
+        graph = grid.graph
         rng = np.random.default_rng(123456)
         sizes = np.empty(samples)
         edges = [(u, v) for u, v, _ in graph.edges]
@@ -117,7 +118,7 @@ class TestReachStats:
         # sanity trend, not a theorem: fraction should not decrease with p
         fractions = []
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-            st = grid_reach_stats(GridSpec(8, 8, p), 0, samples=20_000, seed=50)
+            st = grid_reach_stats(build_grid(GridSpec(8, 8, p)), 0, samples=20_000, seed=50)
             fractions.append(st.boundary_frac)
         se = 4 / np.sqrt(20_000)
         for lo, hi in zip(fractions, fractions[1:]):
@@ -130,7 +131,7 @@ class TestWitnessSearch:
         grid = build_grid(spec)
         a = grid.id_of(0, 2)
         b = grid.id_of(7, 4)
-        res = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=1_000_000, seed=WITNESS_SEED)
+        res = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=1_000_000, seed=WITNESS_SEED)
         assert res.found
         assert res.attempts <= 1_000_000
         w = res.witness
@@ -141,25 +142,25 @@ class TestWitnessSearch:
 
     def test_single_edge_box_has_no_witness(self):
         # flipping toward b can only create the connection, never destroy it
-        res = find_nonmonotonicity_witness(GridSpec(2, 1, 0.5), 0, 1, "toward-high", budget=1_000, seed=0)
+        res = find_nonmonotonicity_witness(
+            build_grid(GridSpec(2, 1, 0.5)), 0, 1, "toward-high", budget=1_000, seed=0
+        )
         assert not res.found
         assert res.attempts == 1_000
 
     def test_leftward_flips_also_break_connections(self):
-        spec = GridSpec(8, 7, 0.5)
-        grid = build_grid(spec)
+        grid = build_grid(GridSpec(8, 7, 0.5))
         res = find_nonmonotonicity_witness(
-            spec, grid.id_of(0, 2), grid.id_of(7, 4), "toward-low", budget=100_000, seed=1
+            grid, grid.id_of(0, 2), grid.id_of(7, 4), "toward-low", budget=100_000, seed=1
         )
         assert res.found
         assert res.witness.verify(grid.graph)
 
     def test_search_is_deterministic(self):
-        spec = GridSpec(8, 7, 0.5)
-        grid = build_grid(spec)
+        grid = build_grid(GridSpec(8, 7, 0.5))
         a, b = grid.id_of(0, 2), grid.id_of(7, 4)
-        r1 = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=10_000, seed=3)
-        r2 = find_nonmonotonicity_witness(spec, a, b, "toward-high", budget=10_000, seed=3)
+        r1 = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=10_000, seed=3)
+        r2 = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=10_000, seed=3)
         assert r1 == r2
 
     @pytest.mark.parametrize("block", [64, 256])
@@ -175,8 +176,8 @@ class TestWitnessSearch:
     def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
         width, height, bias, a_xy, b_xy, flip, seed = case
         monkeypatch.setattr(grid_module, "_SEARCH_BLOCK", block)
-        spec = GridSpec(width, height, bias)
-        graph = build_grid(spec).graph
+        grid = build_grid(GridSpec(width, height, bias))
+        graph = grid.graph
         a, b = a_xy[1] * width + a_xy[0], b_xy[1] * width + b_xy[0]
         budget = 3_000
         desired = 1 if flip == "toward-high" else 0
@@ -197,13 +198,17 @@ class TestWitnessSearch:
             return WitnessSearchResult(None, budget, budget, seed)
 
         expected = scalar_scan()
-        assert find_nonmonotonicity_witness(spec, a, b, flip, budget, seed) == expected
+        assert find_nonmonotonicity_witness(grid, a, b, flip, budget, seed) == expected
         assert expected.found == (seed < 5)
 
     def test_bad_direction_rejected(self):
         with pytest.raises(InputError):
-            find_nonmonotonicity_witness(GridSpec(2, 2, 0.5), 0, 3, "sideways", budget=10, seed=0)
+            find_nonmonotonicity_witness(
+                build_grid(GridSpec(2, 2, 0.5)), 0, 3, "sideways", budget=10, seed=0
+            )
 
     def test_bad_vertex_rejected(self):
         with pytest.raises(InputError):
-            find_nonmonotonicity_witness(GridSpec(2, 2, 0.5), 0, 99, "toward-high", budget=10, seed=0)
+            find_nonmonotonicity_witness(
+                build_grid(GridSpec(2, 2, 0.5)), 0, 99, "toward-high", budget=10, seed=0
+            )

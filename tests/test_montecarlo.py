@@ -87,13 +87,12 @@ class TestEstimateEvent:
 
         g = random_graph(6, edge_count=9, biases="uniform", seed=5)
         events = [conn(0, 5), conn({1, 2}, 4) & conn({1, 2}, 3)]
-        box = GridSpec(8, 7, 0.5)
-        box_grid = build_grid(box)
-        a, b = box_grid.id_of(0, 2), box_grid.id_of(7, 4)
+        box = build_grid(GridSpec(8, 7, 0.5))
+        a, b = box.id_of(0, 2), box.id_of(7, 4)
 
         def run():
             cols = sampled_event_columns(g, events, 500, seed=3, streams=3)
-            return (cols, grid_reach_stats(GridSpec(4, 3, 0.6), 0, 500, seed=3, streams=2),
+            return (cols, grid_reach_stats(build_grid(GridSpec(4, 3, 0.6)), 0, 500, seed=3, streams=2),
                     find_nonmonotonicity_witness(box, a, b, "toward-high", budget=10_000, seed=3))
 
         cols, stats, witness = run()
