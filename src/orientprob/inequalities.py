@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,11 +43,12 @@ HYPOTHESIS_TOL = 1e-12  # pure products of stored values
 PROBABILITY_TOL = 1e-9  # accumulated summation error
 
 _FOUR_FUNCTION_CHECK_CAP = 16
+_FOUR_FUNCTION_BLOCK_PAIRS = 1 << 14  # subset pairs per block of X1 rows, at least one row
 
 
 @dataclass(frozen=True)
 class SetFunctionQuadruple:
-    """Four nonnegative functions on the subsets of an ordered ground set.
+    """Four finite nonnegative functions on the subsets of an ordered ground set.
 
     Each array has length 2^len(ground) and is indexed by subset bit pattern
     over the ground order.
@@ -60,13 +61,17 @@ class SetFunctionQuadruple:
     delta: np.ndarray
 
     def __post_init__(self) -> None:
-        size = 1 << len(self.ground)
-        for name in ("alpha", "beta", "gamma", "delta"):
-            arr = getattr(self, name)
-            if arr.shape != (size,):
-                raise InputError(f"{name} must have one value per subset ({size})")
-            if np.any(arr < 0.0):
-                raise InputError(f"{name} has negative values")
+        _check_arrays(self)
+
+
+def _check_arrays(q: SetFunctionQuadruple) -> None:
+    size = 1 << len(q.ground)
+    for name in ("alpha", "beta", "gamma", "delta"):
+        arr = getattr(q, name)
+        if arr.shape != (size,):
+            raise InputError(f"{name} must have one value per subset ({size})")
+        if not np.all((arr >= 0.0) & (arr < math.inf)):  # false at NaN too
+            raise InputError(f"{name} has negative or non-finite values")
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,10 @@ class VerificationReport:
 
 
 def merge_reports(reports: Iterable[VerificationReport]) -> VerificationReport:
-    """Order-independent merge: minimum slack, concatenated violations."""
+    """Fold reports in order: the least min_slack with the worst_instance of
+    the first report that attains it, and the violations concatenated in
+    input order. A min_slack of inf never ranks; with nothing ranked the
+    result is 0.0 and ""."""
     total = 0
     min_slack = math.inf
     worst = ""
@@ -106,54 +114,54 @@ def merge_reports(reports: Iterable[VerificationReport]) -> VerificationReport:
     return VerificationReport(total, min_slack, worst, violations)
 
 
+def _slack_block(
+    ranked: np.ndarray, flagged: np.ndarray, label: Callable[..., str], record: Callable[..., dict]
+) -> VerificationReport:
+    """One report for a block of slacks: the least entry of ranked, the first
+    in C order on a tie, named by label(*index), and record(*index) for each
+    flagged entry in C order. An entry ranked inf is never the worst."""
+    hits = np.unravel_index(np.flatnonzero(flagged), flagged.shape)  # np.nonzero is slow on 2-d masks
+    violations = [record(*idx) for idx in zip(*(h.tolist() for h in hits))]
+    if ranked.size == 0:
+        return VerificationReport(0, math.inf, "", violations)
+    k = int(ranked.argmin())
+    least = float(ranked.flat[k])
+    worst = label(*map(int, np.unravel_index(k, ranked.shape))) if least < math.inf else ""
+    return VerificationReport(ranked.size, least, worst, violations)
+
+
 def check_four_functions(q: SetFunctionQuadruple, tolerance: float = HYPOTHESIS_TOL) -> VerificationReport:
     """Check alpha(X1)*beta(X2) <= gamma(X1|X2)*delta(X1&X2) for every ordered
     subset pair, and the product-of-sums conclusion."""
     g = len(q.ground)
     if g > _FOUR_FUNCTION_CHECK_CAP:
         raise ResourceLimitError(f"ground set of size {g} exceeds check cap {_FOUR_FUNCTION_CHECK_CAP}")
-    for name in ("alpha", "beta", "gamma", "delta"):
-        if np.any(getattr(q, name) < 0.0):
-            raise InputError(f"{name} has negative values")
-    size = 1 << g
+    _check_arrays(q)  # the arrays are mutable
+    # the blocks are built in this frame, so a profile charges them here, not to the fold
+    return merge_reports(list(_four_function_blocks(q, tolerance)))
+
+
+def _four_function_blocks(q: SetFunctionQuadruple, tolerance: float) -> Iterator[VerificationReport]:
+    size = 1 << len(q.ground)
     all_idx = np.arange(size)
-    min_slack = math.inf
-    worst = ""
-    violations: list[dict] = []
-    for x1 in range(size):
+    rows = max(1, _FOUR_FUNCTION_BLOCK_PAIRS // size)
+    for first in range(0, size, rows):
+        x1 = all_idx[first:first + rows, None]
         lhs = q.alpha[x1] * q.beta
         rhs = q.gamma[x1 | all_idx] * q.delta[x1 & all_idx]
         slack = rhs - lhs
-        j = int(np.argmin(slack))
-        if slack[j] < min_slack:
-            min_slack = float(slack[j])
-            worst = f"pair (X1={x1:#x}, X2={j:#x})"
-        for x2 in np.nonzero(slack < -tolerance)[0]:
-            violations.append(
-                {
-                    "kind": "hypothesis",
-                    "x1": int(x1),
-                    "x2": int(x2),
-                    "lhs": float(lhs[x2]),
-                    "rhs": float(rhs[x2]),
-                    "slack": float(slack[x2]),
-                }
-            )
-    sums = [float(arr.sum()) for arr in (q.alpha, q.beta, q.gamma, q.delta)]
-    conclusion_slack = sums[2] * sums[3] - sums[0] * sums[1]
-    if conclusion_slack < min_slack:
-        min_slack = conclusion_slack
-        worst = "conclusion (products of sums)"
-    if conclusion_slack < -tolerance:
-        violations.append(
-            {
-                "kind": "conclusion",
-                "lhs": sums[0] * sums[1],
-                "rhs": sums[2] * sums[3],
-                "slack": conclusion_slack,
-            }
+        yield _slack_block(
+            slack, slack < -tolerance, lambda i, j: f"pair (X1={first + i:#x}, X2={j:#x})",
+            lambda i, j: {"kind": "hypothesis", "x1": first + i, "x2": j, "lhs": float(lhs[i, j]),
+                          "rhs": float(rhs[i, j]), "slack": float(slack[i, j])},
         )
-    return VerificationReport(size * size + 1, min_slack, worst, violations)
+    sums = [float(arr.sum()) for arr in (q.alpha, q.beta, q.gamma, q.delta)]
+    lhs, rhs = sums[0] * sums[1], sums[2] * sums[3]
+    slack = np.array([rhs - lhs])
+    yield _slack_block(
+        slack, slack < -tolerance, lambda _: "conclusion (products of sums)",
+        lambda _: {"kind": "conclusion", "lhs": lhs, "rhs": rhs, "slack": rhs - lhs},
+    )
 
 
 def build_proof_quadruple(
@@ -216,14 +224,12 @@ def verify_theorem_1(
     ordered vertex triples. Monte Carlo mode reports estimated slacks and
     flags only negatives at least four standard errors below zero."""
     if mode == "exact":
-        return _verify_triples_exact(graph, _single_vertex_sources(graph), tolerance, memo_cap)
+        sources = (frozenset((s,)) for s in range(graph.vertex_count))
+        return merge_reports(list(_verify_triples_exact(graph, sources, tolerance, memo_cap)))
     if mode == "montecarlo":
-        return _verify_triples_montecarlo(graph, samples, seed, streams)
+        _check_sample_counts(samples, streams, minimum=2)
+        return merge_reports(list(_verify_triples_montecarlo(graph, samples, seed, streams)))
     raise InputError(f"unknown mode {mode!r}")
-
-
-def _single_vertex_sources(graph: Graph) -> list[frozenset[int]]:
-    return [frozenset((s,)) for s in range(graph.vertex_count)]
 
 
 @dataclass(frozen=True)
@@ -272,44 +278,33 @@ def verify_theorem_2(
     memo_cap: int = _exact.DEFAULT_MEMO_CAP,
 ) -> VerificationReport:
     """Exact slack check with set sources drawn from the policy."""
-    return _verify_triples_exact(graph, policy.source_sets(graph.vertex_count), tolerance, memo_cap)
+    sources = policy.source_sets(graph.vertex_count)
+    return merge_reports(list(_verify_triples_exact(graph, sources, tolerance, memo_cap)))
 
 
 def _verify_triples_exact(
-    graph: Graph,
-    source_sets: Iterable[frozenset[int]],
-    tolerance: float,
-    memo_cap: int = _exact.DEFAULT_MEMO_CAP,
-) -> VerificationReport:
-    """Check every triple (S, a, b); min_slack and worst_instance range over
-    the triples with a and b outside S only, since the others have slack 0
-    exactly. With no such triple they are 0.0 and ""."""
+    graph: Graph, source_sets: Iterable[frozenset[int]], tolerance: float, memo_cap: int
+) -> Iterator[VerificationReport]:
+    """One block per source set S, over every triple (S, a, b). Only triples
+    with a and b outside S are ranked: the others have slack 0 exactly."""
     engine = ExactEngine(graph, memo_cap)
     n = graph.vertex_count
-    checked = 0
-    min_slack = math.inf
-    worst = ""
-    violations: list[dict] = []
     for src in source_sets:
-        p = [engine.connection(src, t) for t in range(n)]
-        for a in range(n):
-            p_a = p[a]
-            for b in range(n):
-                p_b = p[b]
-                joint = engine.joint(src, a, b)
-                slack = joint - p_a * p_b
-                checked += 1
-                if slack < min_slack and a not in src and b not in src:
-                    min_slack = slack
-                    worst = _triple_label(src, a, b)
-                if slack < -tolerance:
-                    violations.append(
-                        {"instance": _triple_label(src, a, b), "slack": slack, "joint": joint,
-                         "p_a": p_a, "p_b": p_b}
-                    )
-    if not math.isfinite(min_slack):
-        min_slack = 0.0
-    return VerificationReport(checked, min_slack, worst, violations)
+        p = np.array([engine.connection(src, t) for t in range(n)])
+        joint = np.array([[engine.joint(src, a, b) for b in range(n)] for a in range(n)])
+        slack = joint - p[:, None] * p[None, :]
+        yield _slack_block(
+            _outside(slack, list(src)), slack < -tolerance, lambda a, b: _triple_label(src, a, b),
+            lambda a, b: {"instance": _triple_label(src, a, b), "slack": float(slack[a, b]),
+                          "joint": float(joint[a, b]), "p_a": float(p[a]), "p_b": float(p[b])},
+        )
+
+
+def _outside(slack: np.ndarray, inside: list[int]) -> np.ndarray:
+    """A copy of slack that ranks every triple with a or b in inside as inf."""
+    ranked = slack.copy()
+    ranked[inside, :] = ranked[:, inside] = math.inf
+    return ranked
 
 
 def _triple_label(src: frozenset[int], a: int, b: int) -> str:
@@ -318,30 +313,22 @@ def _triple_label(src: frozenset[int], a: int, b: int) -> str:
 
 def _verify_triples_montecarlo(
     graph: Graph, samples: int, seed: int, streams: int
-) -> VerificationReport:
-    _check_sample_counts(samples, streams, minimum=2)
+) -> Iterator[VerificationReport]:
+    """One block per source vertex s of paired slack estimates, ranked like
+    the exact blocks."""
     n = graph.vertex_count
-    checked = 0
-    min_slack = math.inf
-    worst = ""
-    violations: list[dict] = []
     for s in range(n):
         events = [EventExpr.connection(s, t) for t in range(n)]
         est, se = paired_slacks(sampled_event_columns(graph, events, samples, seed, streams))
-        for a in range(n):
-            for t in range(n):
-                slack, std_error = float(est[a, t]), float(se[a, t])
-                checked += 1
-                label = f"(s={s}, a={a}, b={t}) slack {slack:.6f} +- {1.96 * std_error:.6f}"
-                if slack < min_slack:
-                    min_slack = slack
-                    worst = label
-                # a zero standard error (every batch of one sample) proves nothing
-                if std_error > 0.0 and slack <= -4.0 * std_error:
-                    violations.append({"instance": label, "slack": slack, "std_error": std_error})
-    if not math.isfinite(min_slack):
-        min_slack = 0.0
-    return VerificationReport(checked, min_slack, worst, violations)
+
+        def label(a: int, b: int) -> str:
+            return f"(s={s}, a={a}, b={b}) slack {est[a, b]:.6f} +- {1.96 * se[a, b]:.6f}"
+
+        # a zero standard error (every batch of one sample) proves nothing
+        yield _slack_block(
+            _outside(est, [s]), (se > 0.0) & (est <= -4.0 * se), label,
+            lambda a, b: {"instance": label(a, b), "slack": float(est[a, b]), "std_error": float(se[a, b])},
+        )
 
 
 def percolation_cluster_distribution(
@@ -437,11 +424,9 @@ def alm_linusson_covariance(
     if mode == "montecarlo":
         cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
         ca, cb = cols[:, 0], cols[:, 1]
-        cab = ca & cb
         p_a = int(ca.sum()) / samples
         p_b = int(cb.sum()) / samples
-        p_ab = int(cab.sum()) / samples
-        cov = p_ab - p_a * p_b
-        se = float(paired_slacks(cols)[1][0, 1])
-        return AlmLinussonResult(n, cov, p_a, p_b, p_ab, "montecarlo", samples, se, seed)
+        p_ab = int((ca & cb).sum()) / samples
+        est, se = paired_slacks(cols)
+        return AlmLinussonResult(n, float(est[0, 1]), p_a, p_b, p_ab, "montecarlo", samples, float(se[0, 1]), seed)
     raise InputError(f"unknown mode {mode!r}")

@@ -24,6 +24,7 @@ from orientprob import (
     verify_theorem_1,
     verify_theorem_2,
 )
+from orientprob import inequalities
 from conftest import oracle_event_prob
 
 
@@ -51,6 +52,39 @@ class TestCheckFourFunctions:
     def test_negative_values_rejected(self):
         with pytest.raises(InputError):
             quad_of_arrays((0,), [1, -1], [1, 1], [1, 1], [1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InputError):
+            quad_of_arrays((0,), [1, bad], [1, 1], [1, 1], [1, 1])
+        quad = quad_of_arrays((0,), [1, 1], [1, 1], [1, 1], [1, 1])
+        quad.delta[0] = bad  # the arrays stay mutable after construction
+        with pytest.raises(InputError):
+            check_four_functions(quad)
+
+    def test_report_order_across_a_block_boundary(self):
+        # alpha > 1 on the last row of one block and the first of the next;
+        # gamma at a set above neither row brings the conclusion's slack to -0.5
+        g = 8
+        size = 1 << g
+        last = (inequalities._FOUR_FUNCTION_BLOCK_PAIRS >> g) - 1
+        top = 1 << (g - 1)
+        assert 0 < last < top - 1
+        ones = np.ones(size)
+        for below, above, worst_row in ((2.0, 2.0, last), (2.0, 3.0, last + 1)):
+            alpha, gamma = ones.copy(), ones.copy()
+            alpha[last], alpha[last + 1] = below, above
+            gamma[top] += below + above - 2.0 - 1.0 / 512
+            rep = check_four_functions(SetFunctionQuadruple(tuple(range(g)), alpha, ones, gamma, ones))
+            assert rep.instances_checked == size * size + 1
+            # a tie keeps the first pair in row-major order, across blocks too
+            assert (rep.min_slack, rep.worst_instance) == (1.0 - above, f"pair (X1={worst_row:#x}, X2=0x0)")
+            hyp = rep.violations[:-1]
+            assert [(v["x1"], v["x2"]) for v in hyp] == [(x1, x2) for x1 in (last, last + 1) for x2 in range(size)]
+            assert [v["slack"] for v in hyp] == [1.0 - below] * size + [1.0 - above] * size
+            assert all(v["kind"] == "hypothesis" for v in hyp)
+            assert rep.violations[-1] == {"kind": "conclusion", "lhs": alpha.sum() * size,
+                                          "rhs": gamma.sum() * size, "slack": -0.5}
 
     def test_violations_iff_min_slack_below_tolerance(self):
         ones = [1.0] * 4
@@ -128,6 +162,32 @@ class TestTheoremSweeps:
         assert (rep.min_slack, rep.worst_instance) == (0.25, "(S=[0], a=1, b=1)")
         rep = verify_theorem_1(make_graph(1, []), mode="exact")
         assert (rep.instances_checked, rep.min_slack, rep.worst_instance) == (1, 0.0, "")
+
+    def test_block_without_ranked_triple_beside_positive_blocks(self):
+        # S=[0,1] has no target outside it, so its block ranks nothing
+        rep = verify_theorem_2(make_graph(2, [(0, 1, 0.5)]), SourceSetPolicy.up_to_size(2))
+        assert (rep.instances_checked, rep.min_slack, rep.worst_instance) == (12, 0.25, "(S=[0], a=1, b=1)")
+
+    def test_violation_records_follow_sweep_order(self):
+        g = make_graph(3, [(0, 1, 0.3), (1, 2, 0.6)])
+        rep = verify_theorem_1(g, mode="exact", tolerance=-1.0)  # every triple is flagged
+        engine = ExactEngine(g)
+        expected = []
+        for s, a, b in itertools.product(range(3), repeat=3):
+            joint, p_a, p_b = engine.joint([s], a, b), engine.connection([s], a), engine.connection([s], b)
+            expected.append({"instance": f"(S=[{s}], a={a}, b={b})", "slack": joint - p_a * p_b,
+                             "joint": joint, "p_a": p_a, "p_b": p_b})
+        assert rep.violations == expected
+        assert (rep.min_slack, rep.worst_instance) == (0.0, "(S=[1], a=0, b=2)")
+
+    def test_montecarlo_sweep_ranks_only_targets_outside_the_source(self):
+        g = complete_graph(4, 0.5)
+        rep = verify_theorem_1(g, mode="montecarlo", samples=20_000, seed=5)
+        assert rep.instances_checked == 64 and rep.ok
+        assert rep.worst_instance.startswith("(s=1, a=0, b=2) slack ")
+        exact = verify_theorem_1(g, mode="exact")
+        assert (exact.min_slack, exact.worst_instance) == (0.09375, "(S=[0], a=1, b=2)")
+        assert rep.min_slack == pytest.approx(exact.min_slack, abs=0.01)
 
     def test_exact_sweep_on_random_graphs(self):
         for i in range(6):
