@@ -117,17 +117,18 @@ def merge_reports(reports: Iterable[VerificationReport]) -> VerificationReport:
 def _slack_block(
     ranked: np.ndarray, flagged: np.ndarray, label: Callable[..., str], record: Callable[..., dict]
 ) -> VerificationReport:
-    """One report for a block of slacks: the least entry of ranked, the first
-    in C order on a tie, named by label(*index), and record(*index) for each
-    flagged entry in C order. An entry ranked inf is never the worst."""
-    hits = np.unravel_index(np.flatnonzero(flagged), flagged.shape)  # np.nonzero is slow on 2-d masks
-    violations = [record(*idx) for idx in zip(*(h.tolist() for h in hits))]
+    """One report for a 2-d block of slacks: the least entry of ranked, the
+    first in C order on a tie, named by label(row, column), and
+    record(row, column) for each flagged entry in C order. An entry ranked
+    inf is never the worst."""
+    width = ranked.shape[1]
+    hits = flagged.ravel().nonzero()[0]  # np.nonzero is slow on a 2-d mask
+    violations = [record(*divmod(k, width)) for k in hits.tolist()]
     if ranked.size == 0:
         return VerificationReport(0, math.inf, "", violations)
     k = int(ranked.argmin())
     least = float(ranked.flat[k])
-    worst = label(*map(int, np.unravel_index(k, ranked.shape))) if least < math.inf else ""
-    return VerificationReport(ranked.size, least, worst, violations)
+    return VerificationReport(ranked.size, least, label(*divmod(k, width)) if least < math.inf else "", violations)
 
 
 def check_four_functions(q: SetFunctionQuadruple, tolerance: float = HYPOTHESIS_TOL) -> VerificationReport:
@@ -157,10 +158,10 @@ def _four_function_blocks(q: SetFunctionQuadruple, tolerance: float) -> Iterator
         )
     sums = [float(arr.sum()) for arr in (q.alpha, q.beta, q.gamma, q.delta)]
     lhs, rhs = sums[0] * sums[1], sums[2] * sums[3]
-    slack = np.array([rhs - lhs])
+    slack = np.array([[rhs - lhs]])
     yield _slack_block(
-        slack, slack < -tolerance, lambda _: "conclusion (products of sums)",
-        lambda _: {"kind": "conclusion", "lhs": lhs, "rhs": rhs, "slack": rhs - lhs},
+        slack, slack < -tolerance, lambda i, j: "conclusion (products of sums)",
+        lambda i, j: {"kind": "conclusion", "lhs": lhs, "rhs": rhs, "slack": rhs - lhs},
     )
 
 
@@ -291,19 +292,20 @@ def _verify_triples_exact(
     n = graph.vertex_count
     for src in source_sets:
         p = np.array([engine.connection(src, t) for t in range(n)])
-        joint = np.array([[engine.joint(src, a, b) for b in range(n)] for a in range(n)])
+        joint = np.array([engine.joint(src, a, b) for a in range(n) for b in range(n)]).reshape(n, n)
         slack = joint - p[:, None] * p[None, :]
         yield _slack_block(
-            _outside(slack, list(src)), slack < -tolerance, lambda a, b: _triple_label(src, a, b),
+            _outside(slack, src), slack < -tolerance, lambda a, b: _triple_label(src, a, b),
             lambda a, b: {"instance": _triple_label(src, a, b), "slack": float(slack[a, b]),
                           "joint": float(joint[a, b]), "p_a": float(p[a]), "p_b": float(p[b])},
         )
 
 
-def _outside(slack: np.ndarray, inside: list[int]) -> np.ndarray:
+def _outside(slack: np.ndarray, inside: Iterable[int]) -> np.ndarray:
     """A copy of slack that ranks every triple with a or b in inside as inf."""
     ranked = slack.copy()
-    ranked[inside, :] = ranked[:, inside] = math.inf
+    for v in inside:
+        ranked[v] = ranked[:, v] = math.inf
     return ranked
 
 
@@ -326,7 +328,7 @@ def _verify_triples_montecarlo(
 
         # a zero standard error (every batch of one sample) proves nothing
         yield _slack_block(
-            _outside(est, [s]), (se > 0.0) & (est <= -4.0 * se), label,
+            _outside(est, (s,)), (se > 0.0) & (est <= -4.0 * se), label,
             lambda a, b: {"instance": label(a, b), "slack": float(est[a, b]), "std_error": float(se[a, b])},
         )
 
