@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,11 +9,13 @@ import pytest
 from orientprob import (
     EventExpr,
     ExactEngine,
+    GridSpec,
     InputError,
     SetFunctionQuadruple,
     SourceSetPolicy,
     alm_linusson_covariance,
     brute_force_prob,
+    build_grid,
     build_proof_quadruple,
     check_four_functions,
     complete_graph,
@@ -311,3 +315,45 @@ class TestReportSerialization:
         assert set(d) == {"instances_checked", "min_slack", "worst_instance", "violations"}
         assert isinstance(d["violations"], list)
         assert math.isfinite(d["min_slack"])
+
+
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedSweeps:
+    """Exact sweep reports pinned bit for bit: a change in the order in which
+    the recursion sums its terms moves min_slack, and moves the digest of the
+    report that records every triple's joint, p_a, p_b and slack."""
+
+    @pytest.mark.parametrize("index, min_slack, worst, digest", [
+        (0, 0.0006627701942677477, "(S=[0], a=1, b=4)",
+         "a86f4655090dcae3c2e45b6612e0e8f18bed5b8f59b770cdc4063b2e290c95e4"),
+        (1, 0.007809990123626709, "(S=[0], a=1, b=5)",
+         "be5cf2368f8ede887e85903d6c59a51ebd1efa7daa805845128e715fbc9eaa72"),
+        (2, 0.000283439975449995, "(S=[5], a=3, b=4)",
+         "220968485babaead8bf654f5cd49bdd51fb0e91244449fd0355262db31cb7b1d"),
+    ])
+    def test_theorem_1_on_random_graphs(self, index, min_slack, worst, digest):
+        g = random_graph(6, edge_count=10, biases="uniform", seed=2024, index=index)
+        rep = verify_theorem_1(g, mode="exact")
+        assert rep.as_dict() == {"instances_checked": 216, "min_slack": min_slack, "worst_instance": worst,
+                                 "violations": []}
+        assert _report_digest(verify_theorem_1(g, mode="exact", tolerance=-1.0)) == digest
+
+    def test_theorem_1_on_unbiased_k6(self):
+        g = complete_graph(6, 0.5)
+        rep = verify_theorem_1(g, mode="exact")
+        assert rep.as_dict() == {"instances_checked": 216, "min_slack": 0.036518990993499756,
+                                 "worst_instance": "(S=[0], a=1, b=2)", "violations": []}
+        digest = "cac1b2eba084c18c07b46a7279ee86abe9fecf56ea19a9e289372526b4afb1d2"
+        assert _report_digest(verify_theorem_1(g, mode="exact", tolerance=-1.0)) == digest
+
+    def test_theorem_2_on_a_box(self):
+        g = build_grid(GridSpec(3, 3, 0.3)).graph
+        policy = SourceSetPolicy.up_to_size(2)
+        rep = verify_theorem_2(g, policy)
+        assert rep.as_dict() == {"instances_checked": 3645, "min_slack": 0.0,
+                                 "worst_instance": "(S=[1, 3], a=0, b=2)", "violations": []}
+        digest = "4dc4682ced95e03bf670cc032465a29ffb0a39a9dd187d64a749c312b7648997"
+        assert _report_digest(verify_theorem_2(g, policy, tolerance=-1.0)) == digest
