@@ -10,7 +10,9 @@ The recursion is memoized under a canonical key per subproblem (the
 sources, the target mask, and the sources together with the components of
 the rest that hold a target), so a subproblem met under different regions
 is expanded once, and subproblems that differ by a swap of twin vertices
-share one key (see ExactEngine).
+share one key (see ExactEngine). A batch of target sets for one source set
+(ExactEngine.probabilities) also keeps the frontier tables it builds for
+the length of the call, so the target sets share them.
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`, packed from the start. The low edge columns
@@ -231,6 +233,16 @@ class ExactEngine:
     them are hit, c + 1 terms in place of 2^c, each count represented by the
     first members. On a graph whose classes are all singletons nothing of
     this runs, and every value is computed as without it.
+
+    `probabilities` asks for many target sets of one source set. For the
+    length of that call the engine keeps each frontier table it builds,
+    keyed by (component, sources), and by the targets in the component too
+    when there are twin classes, since the frontier groups split by target;
+    later target sets in the batch reuse them. The tables are dropped when
+    the call returns or raises, and emptied whenever their entries reach
+    memo_cap. The same tables are summed in the same order, so values,
+    `states_visited` and the memo are those of the same queries asked one
+    by one; `connection` and `joint` keep no tables.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -239,6 +251,9 @@ class ExactEngine:
         self.states_visited = 0
         self._full_mask = (1 << graph.vertex_count) - 1
         self._memo: dict[tuple[int, int, int], float] = {}
+        # frontier tables of the current probabilities() call, else None
+        self._tables: dict[tuple[int, ...], tuple[list[int], list[float]]] | None = None
+        self._table_entries = 0
         # per twin class of more than one vertex: its mask and the masks of
         # its first k members, k = 0..size; and each vertex's first twin
         self._classes: list[tuple[int, list[int]]] = []
@@ -256,7 +271,7 @@ class ExactEngine:
     ) -> float:
         src = _check_sources(self.graph, sources)
         _check_vertex(self.graph, target)
-        return self._query(src, 1 << target, within)
+        return self._query(src, 1 << target, self._within_mask(within, src))
 
     def joint(
         self,
@@ -268,10 +283,34 @@ class ExactEngine:
         src = _check_sources(self.graph, sources)
         _check_vertex(self.graph, target_a)
         _check_vertex(self.graph, target_b)
-        return self._query(src, (1 << target_a) | (1 << target_b), within)
+        return self._query(src, (1 << target_a) | (1 << target_b), self._within_mask(within, src))
 
-    def _query(self, src: frozenset[int], targets: int, within: Iterable[int] | None) -> float:
+    def probabilities(
+        self,
+        sources: Iterable[int] | int,
+        target_sets: Iterable[Iterable[int]],
+        within: Iterable[int] | None = None,
+    ) -> list[float]:
+        """Entry i is P(the sources reach every vertex of target_sets[i])
+        inside `within`, bit for bit what `connection` or `joint` would
+        return for it; the target sets are evaluated in order and share the
+        frontier tables the call builds (see the class docstring)."""
+        src = _check_sources(self.graph, sources)
+        masks = []
+        for targets in target_sets:
+            mask = 0
+            for t in targets:
+                mask |= 1 << _check_vertex(self.graph, t)
+            masks.append(mask)
         region = self._within_mask(within, src)
+        self._tables = {}
+        self._table_entries = 0
+        try:
+            return [self._query(src, mask, region) for mask in masks]
+        finally:
+            self._tables = None
+
+    def _query(self, src: frozenset[int], targets: int, region: int) -> float:
         src_mask = _to_mask(src)
         targets &= ~src_mask
         if not targets:
@@ -350,6 +389,29 @@ class ExactEngine:
             groups.setdefault((self._leader[v], targets >> v & 1), (p, []))[1].append(v)
         return (), (), list(groups.values())
 
+    def _table(self, comp: int, src_mask: int, wanted: int) -> tuple[list[int], list[float]]:
+        """_subset_table of the frontier of the sources in `comp`, whose
+        targets are `wanted`; taken from and added to the batch's tables
+        while a probabilities() call runs."""
+        tables = self._tables
+        key = (comp, src_mask, wanted) if self._classes else (comp, src_mask)
+        if tables is not None:
+            table = tables.get(key)
+            if table is not None:
+                return table
+        if self._classes:
+            table = _subset_table(*self._frontier_groups(comp, src_mask, wanted))
+        else:
+            table = _subset_table(*_frontier(self.graph, comp, src_mask))  # every group a lone vertex
+        if tables is not None:
+            self._table_entries += len(table[0])
+            if self._table_entries >= self.memo_cap:
+                tables.clear()
+                self._table_entries = 0
+            else:
+                tables[key] = table
+        return table
+
     def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
         """P(the sources reach every target) inside G[region], for a key the
         memo does not hold. `targets` is nonempty, disjoint from the sources,
@@ -382,11 +444,7 @@ class ExactEngine:
             total = 1.0
             for comp in comps:
                 wanted = targets & comp
-                if self._classes:
-                    frontier = self._frontier_groups(comp, src_mask, targets)
-                else:
-                    frontier = _frontier(self.graph, comp, src_mask)  # every group a lone vertex
-                masks, masses = _subset_table(*frontier)
+                masks, masses = self._table(comp, src_mask, wanted)
                 part = 0.0
                 subsets = zip(masks, masses)
                 next(subsets)  # the empty set reaches nothing

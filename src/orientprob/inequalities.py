@@ -194,6 +194,7 @@ def build_proof_quadruple(
     size = 1 << len(ground)
     engine = ExactEngine(graph)
     rest = [v for v in range(graph.vertex_count) if v not in src]
+    target_sets = ((target_a,), (target_b,), (target_a, target_b))
     alpha = np.zeros(size)
     beta = np.zeros(size)
     gamma = np.zeros(size)
@@ -206,9 +207,10 @@ def build_proof_quadruple(
         x = dist.vertices_of(xbits)
         if not x:
             continue  # empty source set reaches nothing outside S
-        alpha[xbits] = mass * engine.connection(x, target_a, within=rest)
-        beta[xbits] = mass * engine.connection(x, target_b, within=rest)
-        gamma[xbits] = mass * engine.joint(x, target_a, target_b, within=rest)
+        p_a, p_b, p_ab = engine.probabilities(x, target_sets, within=rest)
+        alpha[xbits] = mass * p_a
+        beta[xbits] = mass * p_b
+        gamma[xbits] = mass * p_ab
     return SetFunctionQuadruple(ground, alpha, beta, gamma, delta)
 
 
@@ -290,9 +292,10 @@ def _verify_triples_exact(
     with a and b outside S are ranked: the others have slack 0 exactly."""
     engine = ExactEngine(graph, memo_cap)
     n = graph.vertex_count
+    target_sets = [(t,) for t in range(n)] + [(a, b) for a in range(n) for b in range(n)]
     for src in source_sets:
-        p = np.array([engine.connection(src, t) for t in range(n)])
-        joint = np.array([engine.joint(src, a, b) for a in range(n) for b in range(n)]).reshape(n, n)
+        values = np.array(engine.probabilities(src, target_sets))
+        p, joint = values[:n], values[n:].reshape(n, n)
         slack = joint - p[:, None] * p[None, :]
         yield _slack_block(
             _outside(slack, src), slack < -tolerance, lambda a, b: _triple_label(src, a, b),

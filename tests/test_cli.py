@@ -126,7 +126,8 @@ class TestVerify:
         def no_query(*args, **kwargs):
             raise AssertionError("an exact query ran before the size cap was checked")
 
-        monkeypatch.setattr(ExactEngine, "connection", no_query)
+        for method in ("connection", "joint", "probabilities"):
+            monkeypatch.setattr(ExactEngine, method, no_query)
         if graph == "star":
             path = tmp_path / "star.edges"
             path.write_text("".join(f"0 {leaf} 0.5\n" for leaf in range(1, 19)))

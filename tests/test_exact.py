@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -270,6 +272,95 @@ def _joint_engine(graph, memo_cap, a=19, b=3):
     engine = ExactEngine(graph, memo_cap)
     engine.joint([0], a, b)
     return engine
+
+
+def _batch_corpus():
+    """Seeded graphs with n <= 7, plus unbiased K6 and an unbiased star, whose
+    leaves are twins."""
+    for n in range(1, 8):
+        pairs = n * (n - 1) // 2
+        for i in range(3):
+            yield random_graph(n, edge_count=min(pairs, n - 1 + 2 * i), biases="uniform", seed=17, index=i)
+    yield complete_graph(6, 0.5)
+    yield make_graph(7, [(0, leaf, 0.5) for leaf in range(1, 7)])
+
+
+def _batch_queries(graph, rng):
+    """(sources, target sets, within) triples: every target and ordered pair,
+    targets inside the sources, a repeated vertex, the empty set, sets of
+    three vertices, and repeated sets."""
+    n = graph.vertex_count
+    vertices = range(n)
+    sets = [(t,) for t in vertices] + [(a, b) for a in vertices for b in vertices] + [()]
+    sets += [tuple(rng.choices(vertices, k=3)) for _ in range(4)]
+    sets += sets[: n + 3]
+    for _ in range(2):
+        src = set(rng.sample(vertices, rng.randint(1, min(n, 3))))
+        yield src, sets, None
+        yield src, sets, src | set(rng.sample(vertices, rng.randint(0, n)))
+
+
+def _one_by_one(engine, src, target_sets, within):
+    """Each target set asked alone: connection and joint where they apply,
+    else the engine's single query, which keeps no tables."""
+    values = []
+    for ts in target_sets:
+        if len(ts) == 1:
+            values.append(engine.connection(src, ts[0], within=within))
+        elif len(ts) == 2:
+            values.append(engine.joint(src, *ts, within=within))
+        else:
+            mask = sum(1 << t for t in set(ts))
+            values.append(engine._query(frozenset(src), mask, engine._within_mask(within, frozenset(src))))
+    return values
+
+
+class TestBatch:
+    """probabilities() shares frontier tables inside one call only, and
+    changes no value, no state count and no memo entry."""
+
+    def test_batch_is_bit_identical_to_single_queries(self):
+        rng = random.Random(5)
+        for graph in _batch_corpus():
+            batched, single = ExactEngine(graph), ExactEngine(graph)
+            for src, target_sets, within in _batch_queries(graph, rng):
+                values = batched.probabilities(src, target_sets, within=within)
+                assert batched._tables is None
+                assert values == _one_by_one(single, src, target_sets, within)
+                assert batched.states_visited == single.states_visited
+                assert list(batched._memo.items()) == list(single._memo.items())
+
+    def test_input_checks(self, triangle):
+        engine = ExactEngine(triangle)
+        for sources, target_sets, within in (
+            ([], [(1,)], None),
+            ([0], [(1,), (1, 3)], None),
+            ([0], [(-1,)], None),
+            ([0, 2], [(1,)], [0, 1]),
+            ([0], [(1,)], [0, 5]),
+        ):
+            with pytest.raises(InputError):
+                engine.probabilities(sources, target_sets, within=within)
+        assert engine._tables is None and not engine._memo
+        assert engine.probabilities(0, []) == []
+
+    def test_no_tables_after_a_memo_cap(self):
+        g = build_grid(GridSpec(3, 3, 0.6)).graph
+        engine = ExactEngine(g, 20)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            engine.probabilities([0], [(t,) for t in range(9)])
+        assert engine._tables is None
+
+    def test_no_tables_after_the_depth_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(500)
+        try:
+            engine = ExactEngine(path_graph(600))
+            with pytest.raises(ResourceLimitError, match="recursion"):
+                engine.probabilities([0], [(1,), (599,)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert engine._tables is None
 
 
 class TestPinnedStates:

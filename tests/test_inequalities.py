@@ -11,6 +11,7 @@ from orientprob import (
     ExactEngine,
     GridSpec,
     InputError,
+    ResourceLimitError,
     SetFunctionQuadruple,
     SourceSetPolicy,
     alm_linusson_covariance,
@@ -28,7 +29,7 @@ from orientprob import (
     verify_theorem_1,
     verify_theorem_2,
 )
-from orientprob import inequalities
+from orientprob import exact, inequalities
 from conftest import oracle_event_prob
 
 
@@ -217,6 +218,35 @@ class TestTheoremSweeps:
         rep = verify_theorem_1(triangle, mode="montecarlo", samples=20_000, seed=5, streams=4)
         assert rep.ok
         assert rep.instances_checked == 27
+
+    def test_sweep_within_a_tight_memo_cap_reports_as_with_the_default(self, monkeypatch):
+        # K10 oriented low to high but for two fair coins: the first frontier
+        # table of a source set has up to 2^9 entries, more than the sweep's
+        # whole memo, so under a cap of that memo's size the batch's tables
+        # are emptied and rebuilt
+        n = 10
+        coins = {(2, 5), (6, 8)}
+        g = make_graph(n, [(u, v, 0.5 if (u, v) in coins else 1.0) for u in range(n) for v in range(u + 1, n)])
+        engine = ExactEngine(g)
+        target_sets = [(t,) for t in range(n)] + [(a, b) for a in range(n) for b in range(n)]
+        for s in range(n):
+            engine.probabilities([s], target_sets)
+        cap = len(engine._memo)
+        builds = []
+        table = exact._subset_table
+        monkeypatch.setattr(exact, "_subset_table", lambda *args: builds.append(1) or table(*args))
+
+        def sweep(memo_cap):
+            builds.clear()
+            rep = verify_theorem_1(g, mode="exact", tolerance=-1.0, memo_cap=memo_cap)  # records every triple
+            return rep, len(builds)
+
+        default, default_builds = sweep(exact.DEFAULT_MEMO_CAP)
+        tight, tight_builds = sweep(cap)
+        assert tight == default
+        assert tight_builds > default_builds
+        with pytest.raises(ResourceLimitError, match="memo"):
+            sweep(cap - 1)
 
     def test_merge_reports(self):
         r1 = verify_theorem_1(make_graph(2, [(0, 1, 0.5)]), mode="exact")
