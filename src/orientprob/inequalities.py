@@ -86,12 +86,19 @@ class VerificationReport:
         return not self.violations
 
     def as_dict(self) -> dict:
+        """The report as JSON-ready values; a non-finite number in a
+        violation record, such as the NaN slack of an overflowed product,
+        is written as None, so the dict stays valid JSON."""
         return {
             "instances_checked": self.instances_checked,
             "min_slack": self.min_slack,
             "worst_instance": self.worst_instance,
-            "violations": self.violations,
+            "violations": [{k: _finite_or_none(v) for k, v in rec.items()} for rec in self.violations],
         }
+
+
+def _finite_or_none(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def merge_reports(reports: Iterable[VerificationReport]) -> VerificationReport:
@@ -120,20 +127,24 @@ def _slack_block(
     """One report for a 2-d block of slacks: the least entry of ranked, the
     first in C order on a tie, named by label(row, column), and
     record(row, column) for each flagged entry in C order. An entry ranked
-    inf is never the worst."""
+    inf or NaN is never the worst."""
     width = ranked.shape[1]
     hits = flagged.ravel().nonzero()[0]  # np.nonzero is slow on a 2-d mask
     violations = [record(*divmod(k, width)) for k in hits.tolist()]
     if ranked.size == 0:
         return VerificationReport(0, math.inf, "", violations)
     k = int(ranked.argmin())
+    if math.isnan(ranked.flat[k]):  # argmin takes the first NaN over any number
+        ranked = np.where(np.isnan(ranked), math.inf, ranked)
+        k = int(ranked.argmin())
     least = float(ranked.flat[k])
     return VerificationReport(ranked.size, least, label(*divmod(k, width)) if least < math.inf else "", violations)
 
 
 def check_four_functions(q: SetFunctionQuadruple, tolerance: float = HYPOTHESIS_TOL) -> VerificationReport:
     """Check alpha(X1)*beta(X2) <= gamma(X1|X2)*delta(X1&X2) for every ordered
-    subset pair, and the product-of-sums conclusion."""
+    subset pair, and the product-of-sums conclusion. A slack that is NaN,
+    as when both sides overflow to inf, is a violation and is not ranked."""
     g = len(q.ground)
     if g > _FOUR_FUNCTION_CHECK_CAP:
         raise ResourceLimitError(f"ground set of size {g} exceeds check cap {_FOUR_FUNCTION_CHECK_CAP}")
@@ -152,7 +163,7 @@ def _four_function_blocks(q: SetFunctionQuadruple, tolerance: float) -> Iterator
         rhs = q.gamma[x1 | all_idx] * q.delta[x1 & all_idx]
         slack = rhs - lhs
         yield _slack_block(
-            slack, slack < -tolerance, lambda i, j: f"pair (X1={first + i:#x}, X2={j:#x})",
+            slack, ~(slack >= -tolerance), lambda i, j: f"pair (X1={first + i:#x}, X2={j:#x})",
             lambda i, j: {"kind": "hypothesis", "x1": first + i, "x2": j, "lhs": float(lhs[i, j]),
                           "rhs": float(rhs[i, j]), "slack": float(slack[i, j])},
         )
@@ -160,7 +171,7 @@ def _four_function_blocks(q: SetFunctionQuadruple, tolerance: float) -> Iterator
     lhs, rhs = sums[0] * sums[1], sums[2] * sums[3]
     slack = np.array([[rhs - lhs]])
     yield _slack_block(
-        slack, slack < -tolerance, lambda i, j: "conclusion (products of sums)",
+        slack, ~(slack >= -tolerance), lambda i, j: "conclusion (products of sums)",
         lambda i, j: {"kind": "conclusion", "lhs": lhs, "rhs": rhs, "slack": rhs - lhs},
     )
 

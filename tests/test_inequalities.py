@@ -91,6 +91,28 @@ class TestCheckFourFunctions:
             assert rep.violations[-1] == {"kind": "conclusion", "lhs": alpha.sum() * size,
                                           "rhs": gamma.sum() * size, "slack": -0.5}
 
+    def test_overflowed_products_are_violations(self):
+        # every product overflows to inf, so every slack is inf - inf = NaN
+        big = [1e200] * 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_four_functions(quad_of_arrays((0,), big, big, big, big))
+        assert not rep.ok
+        assert rep.instances_checked == 5
+        assert [v.get("x1") for v in rep.violations] == [0, 0, 1, 1, None]
+        assert all(math.isnan(v["slack"]) for v in rep.violations)
+        assert (rep.min_slack, rep.worst_instance) == (0.0, "")  # nothing is ranked
+        d = json.loads(json.dumps(rep.as_dict(), allow_nan=False))
+        assert d["violations"][0] == {"kind": "hypothesis", "x1": 0, "x2": 0, "lhs": None, "rhs": None, "slack": None}
+
+    def test_nan_slack_does_not_hide_the_least_slack(self):
+        # pair (0, 0) overflows to NaN and comes first; the least slack is at (0, 1)
+        big, half = [1e200, 1.0], [1e200, 0.5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_four_functions(quad_of_arrays((0,), big, big, half, big))
+        assert (rep.min_slack, rep.worst_instance) == (0.5e200 - 1e200, "pair (X1=0x0, X2=0x1)")
+        flagged = [(v["kind"], v.get("x1"), v.get("x2")) for v in rep.violations]
+        assert flagged == [("hypothesis", x1, x2) for x1 in (0, 1) for x2 in (0, 1)] + [("conclusion", None, None)]
+
     def test_violations_iff_min_slack_below_tolerance(self):
         ones = [1.0] * 4
         nearly = [1.0, 1.0, 1.0, 1.0 - 1e-13]
