@@ -110,7 +110,9 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _enumeration_chunks(graph: Graph) -> Iterator[tuple[PackedBatch, np.ndarray]]:
+def _enumeration_chunks(
+    graph: Graph, enum_cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[tuple[PackedBatch, np.ndarray]]:
     """All 2^m orientations with their probabilities, in packed blocks of
     k = 2^min(m, _CHUNK_BITS) rows; row i of the block at `start` is
     orientation start + i, whose bit e is the direction of edge e.
@@ -124,44 +126,49 @@ def _enumeration_chunks(graph: Graph) -> Iterator[tuple[PackedBatch, np.ndarray]
     factors in edge order, as a per-orientation product would.
 
     The weights buffer is reused: each block overwrites the previous one, so
-    a caller must finish with a block before asking for the next.
+    a caller must finish with a block before asking for the next. A graph
+    of more than enum_cap edges raises ResourceLimitError on the call.
     """
     m = graph.edge_count
+    if m > enum_cap:
+        raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     low = min(m, _CHUNK_BITS)
     k = 1 << low
     full = (1 << k) - 1
     biases = graph.bias_array
-    low_columns = []
-    for e in range(low):
-        run = 1 << e
-        column, period = ((1 << run) - 1) << run, 2 * run
-        while period < k:
-            column |= column << period
-            period *= 2
-        low_columns.append(column)
-    low_weights = np.ones(1, dtype=np.float64)
-    for e in range(low):
-        low_weights = np.concatenate((low_weights * (1.0 - biases[e]), low_weights * biases[e]))
-    weights = np.empty(k, dtype=np.float64)
-    for start in range(0, 1 << m, k):
-        high = [(start >> e) & 1 for e in range(low, m)]
-        weights[:] = low_weights
-        for e, b in enumerate(high, start=low):
-            weights *= biases[e] if b else 1.0 - biases[e]
-        yield PackedBatch(tuple(low_columns) + tuple(full if b else 0 for b in high), k), weights
+
+    def blocks() -> Iterator[tuple[PackedBatch, np.ndarray]]:
+        low_columns = []
+        for e in range(low):
+            run = 1 << e
+            column, period = ((1 << run) - 1) << run, 2 * run
+            while period < k:
+                column |= column << period
+                period *= 2
+            low_columns.append(column)
+        low_weights = np.ones(1, dtype=np.float64)
+        for e in range(low):
+            low_weights = np.concatenate((low_weights * (1.0 - biases[e]), low_weights * biases[e]))
+        weights = np.empty(k, dtype=np.float64)
+        for start in range(0, 1 << m, k):
+            high = [(start >> e) & 1 for e in range(low, m)]
+            weights[:] = low_weights
+            for e, b in enumerate(high, start=low):
+                weights *= biases[e] if b else 1.0 - biases[e]
+            yield PackedBatch(tuple(low_columns) + tuple(full if b else 0 for b in high), k), weights
+
+    return blocks()
 
 
 def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENUM_CAP) -> ExactResult:
     """Exact event probability by summing over all 2^m orientations."""
-    m = graph.edge_count
-    if m > enum_cap:
-        raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
+    blocks = _enumeration_chunks(graph, enum_cap)
     event.validate_for(graph)
     total = 0.0
-    for batch, weights in _enumeration_chunks(graph):
+    for batch, weights in blocks:
         ind = event_indicator_many(graph, batch, [event])[:, 0]
         total += float(weights[ind].sum())
-    return ExactResult(_clamp01(total), "enumeration", 1 << m)
+    return ExactResult(_clamp01(total), "enumeration", 1 << graph.edge_count)
 
 
 def reachable_set_distribution(
@@ -169,11 +176,8 @@ def reachable_set_distribution(
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
     src = _check_sources(graph, sources)
-    m = graph.edge_count
-    if m > enum_cap:
-        raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     acc: dict[int, float] = {}
-    for batch, weights in _enumeration_chunks(graph):
+    for batch, weights in _enumeration_chunks(graph, enum_cap):
         reach = reach_many(graph, batch, src)
         _accumulate_row_masses(reach, weights, acc)
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
@@ -242,7 +246,7 @@ class ExactEngine:
     the call returns or raises, and emptied whenever their entries reach
     memo_cap. The same tables are summed in the same order, so values,
     `states_visited` and the memo are those of the same queries asked one
-    by one; `connection` and `joint` keep no tables.
+    by one; a call with one target set keeps none.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -269,9 +273,7 @@ class ExactEngine:
     def connection(
         self, sources: Iterable[int] | int, target: int, within: Iterable[int] | None = None
     ) -> float:
-        src = _check_sources(self.graph, sources)
-        _check_vertex(self.graph, target)
-        return self._query(src, 1 << target, self._within_mask(within, src))
+        return self.probabilities(sources, [(target,)], within)[0]
 
     def joint(
         self,
@@ -280,10 +282,7 @@ class ExactEngine:
         target_b: int,
         within: Iterable[int] | None = None,
     ) -> float:
-        src = _check_sources(self.graph, sources)
-        _check_vertex(self.graph, target_a)
-        _check_vertex(self.graph, target_b)
-        return self._query(src, (1 << target_a) | (1 << target_b), self._within_mask(within, src))
+        return self.probabilities(sources, [(target_a, target_b)], within)[0]
 
     def probabilities(
         self,
@@ -292,9 +291,9 @@ class ExactEngine:
         within: Iterable[int] | None = None,
     ) -> list[float]:
         """Entry i is P(the sources reach every vertex of target_sets[i])
-        inside `within`, bit for bit what `connection` or `joint` would
-        return for it; the target sets are evaluated in order and share the
-        frontier tables the call builds (see the class docstring)."""
+        inside `within`; the target sets are evaluated in order and, when
+        there are several, share the frontier tables the call builds (see
+        the class docstring)."""
         src = _check_sources(self.graph, sources)
         masks = []
         for targets in target_sets:
@@ -303,8 +302,9 @@ class ExactEngine:
                 mask |= 1 << _check_vertex(self.graph, t)
             masks.append(mask)
         region = self._within_mask(within, src)
-        self._tables = {}
-        self._table_entries = 0
+        if len(masks) > 1:
+            self._tables = {}
+            self._table_entries = 0
         try:
             return [self._query(src, mask, region) for mask in masks]
         finally:

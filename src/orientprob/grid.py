@@ -4,7 +4,7 @@ flipping one edge in a fixed direction destroys a connection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -99,26 +99,10 @@ class GridReachStats:
     CSV_HEADER = "p,width,height,samples,seed,mean_reach,max_reach,mean_radius,max_radius,boundary_frac"
 
     def csv_row(self) -> str:
-        return (
-            f"{self.p},{self.width},{self.height},{self.samples},{self.seed},"
-            f"{self.mean_reach},{self.max_reach},{self.mean_radius},{self.max_radius},"
-            f"{self.boundary_frac}"
-        )
+        return ",".join(str(getattr(self, name)) for name in self.CSV_HEADER.split(","))
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "width": self.width,
-            "height": self.height,
-            "samples": self.samples,
-            "seed": self.seed,
-            "streams": self.streams,
-            "mean_reach": self.mean_reach,
-            "max_reach": self.max_reach,
-            "mean_radius": self.mean_radius,
-            "max_radius": self.max_radius,
-            "boundary_frac": self.boundary_frac,
-        }
+        return asdict(self)
 
 
 def grid_reach_stats(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,6 +35,8 @@ from .exact import (
     SubsetDistribution,
     _accumulate_row_masses,
     _enumeration_chunks,
+    _frontier,
+    _to_mask,
     out_neighborhood_distribution,
     reachable_set_distribution,
 )
@@ -193,12 +195,9 @@ def build_proof_quadruple(
     _check_vertex(graph, target_b)
     if target_a in src or target_b in src:
         raise InputError("targets must lie outside the source set")
-    src_mask = near = 0
-    for s in src:
-        src_mask |= 1 << s
-        near |= graph.neighbor_masks[s]
-    g = (near & ~src_mask).bit_count()  # the size of the out-neighbourhood's ground set
-    if g > _FOUR_FUNCTION_CHECK_CAP:  # checked before 2^g subsets are built and queried
+    # the out-neighbourhood's ground set, sized before 2^g subsets are built and queried
+    g = len(_frontier(graph, (1 << graph.vertex_count) - 1, _to_mask(src))[0])
+    if g > _FOUR_FUNCTION_CHECK_CAP:
         raise ResourceLimitError(f"ground set of size {g} exceeds check cap {_FOUR_FUNCTION_CHECK_CAP}")
     dist = out_neighborhood_distribution(graph, src)
     ground = dist.ground
@@ -355,12 +354,9 @@ def percolation_cluster_distribution(
     _check_vertex(graph, root)
     if not (0.0 <= density <= 1.0):
         raise InputError(f"density {density} outside [0,1]")
-    m = graph.edge_count
-    if m > enum_cap:
-        raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
     acc: dict[int, float] = {}
-    for is_open, weights in _enumeration_chunks(uniform):
+    for is_open, weights in _enumeration_chunks(uniform, enum_cap):
         # a cluster is the reach set when every open edge can be crossed both ways
         comp = _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
         _accumulate_row_masses(comp, weights, acc)
@@ -399,18 +395,9 @@ class AlmLinussonResult:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "covariance": self.covariance,
-            "p_a_to_s": self.p_a_to_s,
-            "p_s_to_b": self.p_s_to_b,
-            "p_joint": self.p_joint,
-            "method": self.method,
-        }
-        if self.method == "montecarlo":
-            d["samples"] = self.samples
-            d["std_error"] = self.std_error
-            d["seed"] = self.seed
+        d = asdict(self)
+        if self.method != "montecarlo":
+            del d["samples"], d["std_error"], d["seed"]
         return d
 
 

@@ -18,7 +18,7 @@ size never changes the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,14 +126,7 @@ class EstimateReport:
     streams: int
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "samples": self.samples,
-            "std_error": self.std_error,
-            "ci95": [self.ci95[0], self.ci95[1]],
-            "seed": self.seed,
-            "streams": self.streams,
-        }
+        return {**asdict(self), "ci95": list(self.ci95)}
 
 
 def stream_sample_counts(samples: int, streams: int) -> list[int]:
@@ -217,14 +210,6 @@ def estimate_event(
     return EstimateReport(est, samples, se, ci, seed, streams)
 
 
-def batch_means_std_error(batch_values: np.ndarray) -> float:
-    """Standard error of the mean from nonoverlapping batch means."""
-    b = len(batch_values)
-    if b < 2:
-        return 0.0
-    return float(np.std(batch_values, ddof=1) / math.sqrt(b))
-
-
 def paired_slacks(cols: np.ndarray, batches: int = _SLACK_BATCHES) -> tuple[np.ndarray, np.ndarray]:
     """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
     a (samples, k) indicator matrix, all events read on the same samples.
@@ -247,7 +232,7 @@ def paired_slacks(cols: np.ndarray, batches: int = _SLACK_BATCHES) -> tuple[np.n
     batch_joint = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     batch_slacks = batch_joint / sizes[:, :, None] - batch_p[:, :, None] * batch_p[:, None, :]
     # each pair's batch values contiguous, so the reduction runs over them as
-    # batch_means_std_error does and gives the same floats
+    # np.std over one pair's batch values would and gives the same floats
     per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))
     return est, np.std(per_pair, axis=-1, ddof=1) / math.sqrt(b)
 

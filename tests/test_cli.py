@@ -179,6 +179,25 @@ class TestVerify:
         assert out["tv_distance"] <= 1e-9
 
 
+class TestEnumerationCheckOrder:
+    """An input that fails both the enumeration cap and a vertex check gets
+    the exit code of the check its command makes first."""
+
+    def test_exact_enumeration_checks_the_cap_before_the_event(self, capsys, tri_path):
+        argv = ["exact", "--graph", tri_path, "--source", "0", "--target", "9", "--method", "enumeration",
+                "--enum-cap", "2"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m=3" in captured.err
+
+    def test_mcdiarmid_checks_the_root_before_the_cap(self, capsys, tri_path):
+        assert main(["mcdiarmid", "--graph", tri_path, "--root", "9", "--enum-cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+
 class TestMonteCarlo:
     def test_estimate_and_determinism(self, capsys, tri_path):
         argv = [

@@ -131,6 +131,25 @@ class TestEnumerationBlocks:
         assert results() == default
 
 
+class TestEnumerationCheckOrder:
+    """On a graph over the enumeration cap, each entry point reports the
+    check it makes first: the vertices before the cap for the set laws, the
+    cap before the event for brute_force_prob."""
+
+    def test_reachable_set_distribution_checks_the_sources_first(self, triangle):
+        with pytest.raises(InputError):
+            reachable_set_distribution(triangle, [9], enum_cap=2)
+
+    def test_percolation_cluster_distribution_checks_root_and_density_first(self, triangle):
+        for root, density in ((9, 0.5), (0, 1.5)):
+            with pytest.raises(InputError):
+                percolation_cluster_distribution(triangle, root, density, enum_cap=2)
+
+    def test_brute_force_prob_checks_the_cap_first(self, triangle):
+        with pytest.raises(ResourceLimitError, match="m=3.*2"):
+            brute_force_prob(triangle, conn(0, 9), enum_cap=2)
+
+
 class TestOutNeighborhood:
     def test_two_independent_coins(self):
         g = make_graph(3, [(0, 1, 0.7), (0, 2, 0.5)])
@@ -343,6 +362,37 @@ class TestBatch:
                 engine.probabilities(sources, target_sets, within=within)
         assert engine._tables is None and not engine._memo
         assert engine.probabilities(0, []) == []
+
+    def test_one_target_set_keeps_no_tables(self):
+        # connection, joint and one-set probabilities calls, asked in the same
+        # order of two engines, store no table and agree bit for bit
+        rng = random.Random(6)
+        tables_absent = []
+
+        def watched(engine):
+            build = engine._table
+
+            def table(*args):
+                tables_absent.append(engine._tables is None)
+                return build(*args)
+
+            engine._table = table
+            return engine
+
+        for graph in _batch_corpus():
+            single, one_set = watched(ExactEngine(graph)), watched(ExactEngine(graph))
+            for src, target_sets, within in _batch_queries(graph, rng):
+                for ts in target_sets:
+                    if len(ts) == 1:
+                        value = single.connection(src, ts[0], within=within)
+                    elif len(ts) == 2:
+                        value = single.joint(src, *ts, within=within)
+                    else:
+                        continue
+                    assert one_set.probabilities(src, [ts], within=within) == [value]
+                    assert one_set.states_visited == single.states_visited
+                assert list(one_set._memo.items()) == list(single._memo.items())
+        assert tables_absent and all(tables_absent)
 
     def test_no_tables_after_a_memo_cap(self):
         g = build_grid(GridSpec(3, 3, 0.6)).graph

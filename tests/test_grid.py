@@ -3,6 +3,7 @@ import pytest
 
 import orientprob.grid as grid_module
 from orientprob import (
+    GridReachStats,
     GridSpec,
     InputError,
     Orientation,
@@ -75,6 +76,17 @@ class TestReachStats:
         a = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
         b = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
         assert a == b
+
+    def test_record_output_is_pinned(self):
+        st = GridReachStats(p=0.3, width=8, height=6, samples=2000, seed=4, streams=3, mean_reach=5.5,
+                            max_reach=17, mean_radius=1.25, max_radius=4, boundary_frac=0.125)
+        d = st.as_dict()
+        assert d == {"p": 0.3, "width": 8, "height": 6, "samples": 2000, "seed": 4, "streams": 3,
+                     "mean_reach": 5.5, "max_reach": 17, "mean_radius": 1.25, "max_radius": 4,
+                     "boundary_frac": 0.125}
+        assert list(d) == ["p", "width", "height", "samples", "seed", "streams", "mean_reach", "max_reach",
+                           "mean_radius", "max_radius", "boundary_frac"]
+        assert st.csv_row() == "0.3,8,6,2000,4,5.5,17,1.25,4,0.125"
 
     def test_csv_row_matches_header(self):
         st = grid_reach_stats(build_grid(GridSpec(3, 3, 0.5)), 0, samples=100, seed=1)

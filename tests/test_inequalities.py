@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orientprob import (
+    AlmLinussonResult,
     EventExpr,
     ExactEngine,
     GridSpec,
@@ -358,6 +359,19 @@ class TestAlmLinusson:
     def test_small_n_rejected(self):
         with pytest.raises(InputError):
             alm_linusson_covariance(2)
+
+    def test_record_output_is_pinned(self):
+        exact_fields = {"n": 3, "covariance": -0.015625, "p_a_to_s": 0.625, "p_s_to_b": 0.625,
+                        "p_joint": 0.375, "method": "exact"}
+        d = AlmLinussonResult(3, -0.015625, 0.625, 0.625, 0.375, "exact").as_dict()
+        assert d == exact_fields
+        assert list(d) == ["n", "covariance", "p_a_to_s", "p_s_to_b", "p_joint", "method"]
+        d = AlmLinussonResult(5, 0.004, 0.7, 0.7, 0.494, "montecarlo", 2000, 0.01, 9).as_dict()
+        assert d == {"n": 5, "covariance": 0.004, "p_a_to_s": 0.7, "p_s_to_b": 0.7, "p_joint": 0.494,
+                     "method": "montecarlo", "samples": 2000, "std_error": 0.01, "seed": 9}
+        assert list(d) == ["n", "covariance", "p_a_to_s", "p_s_to_b", "p_joint", "method", "samples",
+                           "std_error", "seed"]
+        assert alm_linusson_covariance(3).as_dict() == exact_fields
 
 
 class TestReportSerialization:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orientprob import (
+    EstimateReport,
     EventExpr,
     GridSpec,
     InputError,
@@ -22,7 +23,6 @@ from orientprob.montecarlo import (
     _compare_planes,
     _plane_counts,
     _thresholds,
-    batch_means_std_error,
     draw_orientations,
     paired_slacks,
     sampled_event_columns,
@@ -32,6 +32,14 @@ from orientprob.montecarlo import (
 
 def conn(s, t):
     return EventExpr.connection(s, t)
+
+
+def batch_means_std_error(batch_values: np.ndarray) -> float:
+    """Standard error of the mean from nonoverlapping batch means."""
+    b = len(batch_values)
+    if b < 2:
+        return 0.0
+    return float(np.std(batch_values, ddof=1) / math.sqrt(b))
 
 
 class TestStreamCounts:
@@ -51,6 +59,13 @@ class TestStreamCounts:
 
 
 class TestEstimateEvent:
+    def test_record_output_is_pinned(self):
+        d = EstimateReport(0.625, 1000, 0.015, (0.5956, 0.6544), 42, 8).as_dict()
+        assert d == {"estimate": 0.625, "samples": 1000, "std_error": 0.015, "ci95": [0.5956, 0.6544],
+                     "seed": 42, "streams": 8}
+        assert list(d) == ["estimate", "samples", "std_error", "ci95", "seed", "streams"]
+        assert type(d["ci95"]) is list
+
     def test_certain_event(self):
         g = make_graph(2, [(0, 1, 1.0)])
         r = estimate_event(g, conn(0, 1), samples=500, seed=1)
