@@ -25,6 +25,8 @@ from .generators import complete_graph, random_graph
 from .graphs import EventExpr, Graph, parse_graph
 from .grid import GridSpec, GridReachStats, build_grid, find_nonmonotonicity_witness, grid_reach_stats
 from .inequalities import (
+    HYPOTHESIS_TOL,
+    PROBABILITY_TOL,
     SourceSetPolicy,
     alm_linusson_covariance,
     build_proof_quadruple,
@@ -359,24 +361,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify-t1", _cmd_verify_t1, "slack sweep over all ordered vertex triples", graph, streams, memo_cap)
     p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = command("verify-t2", _cmd_verify_t2, "slack sweep with set sources", graph, memo_cap)
     p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
     p.add_argument("--max-set-size", type=int, default=3)
     p.add_argument("--random-sets", type=int, help="sample this many source sets instead")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
 
     p = command("fourfunc", _cmd_fourfunc, "build and check the conditioned quadruple", graph)
     p.add_argument("--source", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=HYPOTHESIS_TOL)
 
     p = command("mcdiarmid", _cmd_mcdiarmid, "orientation reach law vs percolation cluster law", graph, enum_cap)
     p.add_argument("--root", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
 
     p = command("alm-linusson", _cmd_alm_linusson, "covariance of a->s and s->b on an unbiased complete graph",
                 streams, enum_cap)

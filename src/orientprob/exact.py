@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,11 +46,6 @@ DEFAULT_MEMO_CAP = 1 << 22
 _CHUNK_BITS = 18
 
 PROBABILITY_BAND = 1e-12  # pre-clamp tolerance on accumulated sums
-
-# byte b with its bit order reversed
-_BIT_REVERSED = np.packbits(
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
-)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -176,29 +171,34 @@ def reachable_set_distribution(
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
     src = _check_sources(graph, sources)
+    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src))
+
+
+def _enumerated_law(
+    graph: Graph, enum_cap: int, rows: Callable[[PackedBatch], np.ndarray]
+) -> SubsetDistribution:
+    """Law of the vertex set that rows(block) marks in each orientation's
+    row, over all 2^m orientations of the graph and their probabilities."""
     acc: dict[int, float] = {}
     for batch, weights in _enumeration_chunks(graph, enum_cap):
-        reach = reach_many(graph, batch, src)
-        _accumulate_row_masses(reach, weights, acc)
+        _accumulate_row_masses(rows(batch), weights, acc)
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
 
 
 def _accumulate_row_masses(rows: np.ndarray, weights: np.ndarray, acc: dict[int, float]) -> None:
-    """Add each row's weight to acc[mask], bit j of mask set when column j is.
-
-    Rows are packed first column to highest bit, so packed codes sort like
-    the bool rows and masks enter acc in lexicographic row order.
-    """
-    codes = np.packbits(rows, axis=1)
+    """Add each row's weight to acc[mask], bit j of mask set when column j
+    is. Rows are packed first column to lowest bit, so a packed row is its
+    mask."""
+    codes = np.packbits(rows, axis=1, bitorder="little")
     if codes.shape[1] == 1:
         code = codes[:, 0]
         present = np.flatnonzero(np.bincount(code, minlength=256))
         sums = np.bincount(code, weights=weights, minlength=256)[present]
-        masks = _BIT_REVERSED[present].tolist()
+        masks = present.tolist()
     else:
         uniq, inv = np.unique(codes, axis=0, return_inverse=True)
         sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
-        masks = [int.from_bytes(_BIT_REVERSED[row].tobytes(), "little") for row in uniq]
+        masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
     for mask, s in zip(masks, sums.tolist()):
         acc[mask] = acc.get(mask, 0.0) + s
 
@@ -294,24 +294,27 @@ class ExactEngine:
         inside `within`; the target sets are evaluated in order and, when
         there are several, share the frontier tables the call builds (see
         the class docstring)."""
-        src = _check_sources(self.graph, sources)
+        src_mask = _to_mask(_check_sources(self.graph, sources))
         masks = []
         for targets in target_sets:
             mask = 0
             for t in targets:
                 mask |= 1 << _check_vertex(self.graph, t)
             masks.append(mask)
-        region = self._within_mask(within, src)
+        region = self._within_mask(within, src_mask)
         if len(masks) > 1:
             self._tables = {}
             self._table_entries = 0
         try:
-            return [self._query(src, mask, region) for mask in masks]
+            return [self._query(src_mask, mask, region) for mask in masks]
+        except RecursionError:
+            raise ResourceLimitError(
+                f"recursion deeper than the interpreter stack limit ({sys.getrecursionlimit()} frames)"
+            ) from None
         finally:
             self._tables = None
 
-    def _query(self, src: frozenset[int], targets: int, region: int) -> float:
-        src_mask = _to_mask(src)
+    def _query(self, src_mask: int, targets: int, region: int) -> float:
         targets &= ~src_mask
         if not targets:
             return 1.0
@@ -323,19 +326,16 @@ class ExactEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        try:
-            return self._reach_all(*key)
-        except RecursionError:
-            raise _depth_limit_error() from None
+        return self._reach_all(*key)
 
-    def _within_mask(self, within: Iterable[int] | None, src: frozenset[int]) -> int:
+    def _within_mask(self, within: Iterable[int] | None, src_mask: int) -> int:
         if within is None:
             return self._full_mask
         mask = 0
         for v in within:
             _check_vertex(self.graph, v)
             mask |= 1 << v
-        if _to_mask(src) & ~mask:
+        if src_mask & ~mask:
             raise InputError("sources must lie inside the restricted vertex set")
         return mask
 
@@ -466,12 +466,6 @@ class ExactEngine:
         if probe != canonical:
             self._store(probe, total)
         return total
-
-
-def _depth_limit_error() -> ResourceLimitError:
-    return ResourceLimitError(
-        f"recursion deeper than the interpreter stack limit ({sys.getrecursionlimit()} frames)"
-    )
 
 
 def _to_mask(vertices: Iterable[int]) -> int:

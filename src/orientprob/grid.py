@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graphs import Graph, Orientation, make_graph, reach_many, reachable_set
+from .graphs import Graph, Orientation, _check_vertex, make_graph, reach_many, reachable_set
 from .montecarlo import _sampled_blocks
 
 TOWARD_HIGH = "toward-high"
@@ -116,8 +116,7 @@ def grid_reach_stats(
     radius (Chebyshev), and how often the right/top boundary is touched."""
     spec, graph = grid.spec, grid.graph
     blocks = _sampled_blocks(graph, samples, seed, streams)
-    if not (0 <= origin < graph.vertex_count):
-        raise InputError(f"origin {origin} outside the grid")
+    _check_vertex(graph, origin)
     dist = grid.chebyshev_distances(origin)
     boundary = list(grid.far_boundary)
 
@@ -205,9 +204,8 @@ def find_nonmonotonicity_witness(
     if flip_direction not in (TOWARD_HIGH, TOWARD_LOW):
         raise InputError(f"flip_direction must be {TOWARD_HIGH!r} or {TOWARD_LOW!r}")
     spec, graph = grid.spec, grid.graph
-    for v in (a, b):
-        if not (0 <= v < graph.vertex_count):
-            raise InputError(f"vertex {v} outside the grid")
+    _check_vertex(graph, a)
+    _check_vertex(graph, b)
     desired = 1 if flip_direction == TOWARD_HIGH else 0
     horizontal = np.array(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp

@@ -28,15 +28,15 @@ from .graphs import (
     make_graph,
 )
 from .montecarlo import _check_sample_counts, paired_slacks, sampled_event_columns
-from . import exact as _exact
 from .exact import (
     DEFAULT_ENUM_CAP,
+    DEFAULT_MEMO_CAP,
     ExactEngine,
     SubsetDistribution,
-    _accumulate_row_masses,
-    _enumeration_chunks,
+    _enumerated_law,
     _frontier,
     _to_mask,
+    brute_force_prob,
     out_neighborhood_distribution,
     reachable_set_distribution,
 )
@@ -91,12 +91,9 @@ class VerificationReport:
         """The report as JSON-ready values; a non-finite number in a
         violation record, such as the NaN slack of an overflowed product,
         is written as None, so the dict stays valid JSON."""
-        return {
-            "instances_checked": self.instances_checked,
-            "min_slack": self.min_slack,
-            "worst_instance": self.worst_instance,
-            "violations": [{k: _finite_or_none(v) for k, v in rec.items()} for rec in self.violations],
-        }
+        d = asdict(self)
+        d["violations"] = [{k: _finite_or_none(v) for k, v in rec.items()} for rec in self.violations]
+        return d
 
 
 def _finite_or_none(value):
@@ -133,8 +130,6 @@ def _slack_block(
     width = ranked.shape[1]
     hits = flagged.ravel().nonzero()[0]  # np.nonzero is slow on a 2-d mask
     violations = [record(*divmod(k, width)) for k in hits.tolist()]
-    if ranked.size == 0:
-        return VerificationReport(0, math.inf, "", violations)
     k = int(ranked.argmin())
     if math.isnan(ranked.flat[k]):  # argmin takes the first NaN over any number
         ranked = np.where(np.isnan(ranked), math.inf, ranked)
@@ -231,7 +226,7 @@ def verify_theorem_1(
     samples: int = 100_000,
     seed: int = 0,
     streams: int = 1,
-    memo_cap: int = _exact.DEFAULT_MEMO_CAP,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> VerificationReport:
     """Slack check P(s->a and s->b) - P(s->a)P(s->b) >= -tolerance over all
     ordered vertex triples. Monte Carlo mode reports estimated slacks and
@@ -288,7 +283,7 @@ def verify_theorem_2(
     graph: Graph,
     policy: SourceSetPolicy,
     tolerance: float = PROBABILITY_TOL,
-    memo_cap: int = _exact.DEFAULT_MEMO_CAP,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> VerificationReport:
     """Exact slack check with set sources drawn from the policy."""
     sources = policy.source_sets(graph.vertex_count)
@@ -355,12 +350,10 @@ def percolation_cluster_distribution(
     if not (0.0 <= density <= 1.0):
         raise InputError(f"density {density} outside [0,1]")
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
-    acc: dict[int, float] = {}
-    for is_open, weights in _enumeration_chunks(uniform, enum_cap):
-        # a cluster is the reach set when every open edge can be crossed both ways
-        comp = _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
-        _accumulate_row_masses(comp, weights, acc)
-    return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
+    # a cluster is the reach set when every open edge can be crossed both ways
+    return _enumerated_law(
+        uniform, enum_cap, lambda is_open: _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
+    )
 
 
 def total_variation(d1: SubsetDistribution, d2: SubsetDistribution) -> float:
@@ -368,7 +361,7 @@ def total_variation(d1: SubsetDistribution, d2: SubsetDistribution) -> float:
     if d1.ground != d2.ground:
         raise InputError("distributions have different ground sets")
     keys = set(d1.mass) | set(d2.mass)
-    return 0.5 * sum(abs(d1.mass.get(k, 0.0) - d2.mass.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(d1.mass.get(k, 0.0) - d2.mass.get(k, 0.0)) for k in keys)
 
 
 def verify_mcdiarmid(graph: Graph, root: int, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -420,9 +413,9 @@ def alm_linusson_covariance(
     ev_a = EventExpr.connection(a, s)  # a -> s
     ev_b = EventExpr.connection(s, b)  # s -> b
     if mode == "exact":
-        p_a = _exact.brute_force_prob(graph, ev_a, enum_cap).probability
-        p_b = _exact.brute_force_prob(graph, ev_b, enum_cap).probability
-        p_ab = _exact.brute_force_prob(graph, ev_a & ev_b, enum_cap).probability
+        p_a = brute_force_prob(graph, ev_a, enum_cap).probability
+        p_b = brute_force_prob(graph, ev_b, enum_cap).probability
+        p_ab = brute_force_prob(graph, ev_a & ev_b, enum_cap).probability
         return AlmLinussonResult(n, p_ab - p_a * p_b, p_a, p_b, p_ab, "exact")
     if mode == "montecarlo":
         cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orientprob
-from orientprob import ExactEngine, Witness
+from orientprob import ExactEngine, GridSpec, Witness, build_grid
 from orientprob.cli import main
 
 TRIANGLE = "0 1 0.5\n0 2 0.5\n1 2 0.5\n"
@@ -478,3 +478,43 @@ def test_sampled_entry_points_exit_cleanly(data):
     argv, code = _assert_exits_cleanly(sampled_argv, data, reported=(0, 4))
     assert code != 4 or argv[0] == "witness", argv
     assert argv[argv.index("--seed") + 1] != "-1" or code == 3, argv
+
+
+class TestInProcessExitCodes:
+    """Inputs run through main in this process: a failure exits with its
+    documented code and writes nothing to stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        "exact --complete 4 --source 0,x --target 1",
+        "witness --grid 8x7 --a 0 --b 7,4 --seed 0",
+        "grid-stats --grid 8 --samples 10 --seed 1",
+        "grid-stats --grid 8x8 --bias 0.2,abc --samples 10 --seed 1",
+        "exact --random n=5,q=3 --seed 1 --source 0 --target 1",
+        "exact --random n5 --seed 1 --source 0 --target 1",
+        "exact --random m=4 --seed 1 --source 0 --target 1",
+        "exact --random n=5,m=4,p=0.3 --seed 1 --source 0 --target 1",
+    ])
+    def test_input_errors(self, capsys, argv):
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+    def test_random_graph_without_seed_is_usage_error(self, capsys):
+        assert main("mc --random n=5,m=4 --source 0 --target 1 --samples 10".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --random requires --seed\n"
+
+    def test_exact_on_a_grid(self, capsys):
+        code, out = run_json(capsys, "exact --grid 3x3 --bias 0.6 --source 0 --target 8".split())
+        assert code == 0
+        expected = orientprob.exact_connection_prob(build_grid(GridSpec(3, 3, 0.6)).graph, 0, 8)
+        assert out["prob"] == expected.probability
+
+    def test_exact_on_a_random_graph_with_constant_bias(self, capsys):
+        argv = "exact --random n=5,p=0.6 --bias-policy constant --bias 0.3 --seed 2 --source 0 --target 4"
+        code, out = run_json(capsys, argv.split())
+        assert code == 0
+        graph = orientprob.random_graph(5, edge_prob=0.6, biases=0.3, seed=2)
+        assert out["prob"] == orientprob.exact_connection_prob(graph, 0, 4).probability

@@ -321,7 +321,7 @@ def _batch_queries(graph, rng):
 
 def _one_by_one(engine, src, target_sets, within):
     """Each target set asked alone: connection and joint where they apply,
-    else the engine's single query, which keeps no tables."""
+    else a probabilities call with that one set, which keeps no tables."""
     values = []
     for ts in target_sets:
         if len(ts) == 1:
@@ -329,8 +329,7 @@ def _one_by_one(engine, src, target_sets, within):
         elif len(ts) == 2:
             values.append(engine.joint(src, *ts, within=within))
         else:
-            mask = sum(1 << t for t in set(ts))
-            values.append(engine._query(frozenset(src), mask, engine._within_mask(within, frozenset(src))))
+            values.append(engine.probabilities(src, [ts], within=within)[0])
     return values
 
 

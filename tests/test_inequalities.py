@@ -423,3 +423,34 @@ class TestPinnedSweeps:
                                  "worst_instance": "(S=[1, 3], a=0, b=2)", "violations": []}
         digest = "4dc4682ced95e03bf670cc032465a29ffb0a39a9dd187d64a749c312b7648997"
         assert _report_digest(verify_theorem_2(g, policy, tolerance=-1.0)) == digest
+
+
+class TestTotalVariationSum:
+    """total_variation is exactly rounded, so it does not depend on the order
+    in which the masses were inserted."""
+
+    @pytest.fixture
+    def laws(self):
+        g = random_graph(11, edge_count=13, biases="uniform", seed=40, index=0)
+        d1 = exact.reachable_set_distribution(g, 0)
+        d2 = percolation_cluster_distribution(g, 0, 0.5)
+        assert d1.mass != d2.mass
+        return d1, d2
+
+    def test_insertion_order_does_not_change_the_value(self, laws):
+        d1, d2 = laws
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            shuffled = []
+            for d in (d1, d2):
+                items = list(d.mass.items())
+                rng.shuffle(items)
+                shuffled.append(exact.SubsetDistribution(d.ground, dict(items)))
+            assert total_variation(*shuffled) == total_variation(d1, d2)
+            assert total_variation(shuffled[1], shuffled[0]) == total_variation(d1, d2)
+
+    def test_matches_an_fsum_reference(self, laws):
+        d1, d2 = laws
+        keys = sorted(set(d1.mass) | set(d2.mass))
+        expected = 0.5 * math.fsum(abs(d1.mass.get(k, 0.0) - d2.mass.get(k, 0.0)) for k in keys)
+        assert 0.0 < total_variation(d1, d2) == expected
