@@ -73,20 +73,20 @@ def _parse_grid_dims(text: str) -> tuple[int, int]:
 
 
 def _parse_random_spec(text: str) -> dict:
+    fields = {"n": ("n", int), "m": ("edge_count", int), "p": ("edge_prob", float)}
     spec: dict = {}
     for item in text.split(","):
         if "=" not in item:
             raise InputError(f"random spec items must look like n=5, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key == "n":
-            spec["n"] = int(value)
-        elif key == "m":
-            spec["edge_count"] = int(value)
-        elif key == "p":
-            spec["edge_prob"] = float(value)
-        else:
+        if key not in fields:
             raise InputError(f"unknown random spec key {key!r}")
+        name, kind = fields[key]
+        try:
+            spec[name] = kind(value)
+        except ValueError:
+            raise InputError(f"random spec {key}={value!r} is not {'an integer' if kind is int else 'a number'}") from None
     if "n" not in spec:
         raise InputError("random spec needs n=<vertices>")
     if ("edge_count" in spec) == ("edge_prob" in spec):
@@ -420,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # OSError, UnicodeDecodeError: an unusable file
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

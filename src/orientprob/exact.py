@@ -24,7 +24,7 @@ factors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -55,11 +55,8 @@ class ExactResult:
     states_visited: int
 
     def as_dict(self) -> dict:
-        return {
-            "prob": self.probability,
-            "method": self.method,
-            "states_visited": self.states_visited,
-        }
+        d = asdict(self)
+        return {"prob": d.pop("probability"), **d}
 
 
 @dataclass(frozen=True)
@@ -294,14 +291,16 @@ class ExactEngine:
         inside `within`; the target sets are evaluated in order and, when
         there are several, share the frontier tables the call builds (see
         the class docstring)."""
-        src_mask = _to_mask(_check_sources(self.graph, sources))
-        masks = []
-        for targets in target_sets:
-            mask = 0
-            for t in targets:
-                mask |= 1 << _check_vertex(self.graph, t)
-            masks.append(mask)
-        region = self._within_mask(within, src_mask)
+        src_mask = _vertex_mask(self.graph, _check_sources(self.graph, sources))
+        masks = [_vertex_mask(self.graph, targets) for targets in target_sets]
+        region = self._full_mask if within is None else _vertex_mask(self.graph, within)
+        if src_mask & ~region:
+            raise InputError("sources must lie inside the restricted vertex set")
+        return self._batch(src_mask, masks, region)
+
+    def _batch(self, src_mask: int, masks: list[int], region: int) -> list[float]:
+        """probabilities() on checked masks: the sources, each target set and
+        a region that holds the sources."""
         if len(masks) > 1:
             self._tables = {}
             self._table_entries = 0
@@ -327,17 +326,6 @@ class ExactEngine:
         if hit is not None:
             return hit
         return self._reach_all(*key)
-
-    def _within_mask(self, within: Iterable[int] | None, src_mask: int) -> int:
-        if within is None:
-            return self._full_mask
-        mask = 0
-        for v in within:
-            _check_vertex(self.graph, v)
-            mask |= 1 << v
-        if src_mask & ~mask:
-            raise InputError("sources must lie inside the restricted vertex set")
-        return mask
 
     def _component(self, remaining: int, seed_mask: int) -> int:
         """Undirected component of the seed vertices inside `remaining`."""
@@ -468,10 +456,11 @@ class ExactEngine:
         return total
 
 
-def _to_mask(vertices: Iterable[int]) -> int:
+def _vertex_mask(graph: Graph, vertices: Iterable[int]) -> int:
+    """Bit v set for each vertex v, each checked to be a vertex of the graph."""
     mask = 0
     for v in vertices:
-        mask |= 1 << v
+        mask |= 1 << _check_vertex(graph, v)
     return mask
 
 
@@ -550,7 +539,7 @@ def out_neighborhood_distribution(graph: Graph, sources: Iterable[int] | int) ->
     the sources. Each outside neighbor v is included independently with its
     own probability, so the mass is a product over the ground set."""
     src = _check_sources(graph, sources)
-    ground, probs = _frontier(graph, (1 << graph.vertex_count) - 1, _to_mask(src))
+    ground, probs = _frontier(graph, (1 << graph.vertex_count) - 1, _vertex_mask(graph, src))
     _, masses = _subset_table(ground, probs)
     return SubsetDistribution(tuple(ground), dict(enumerate(masses)))
 

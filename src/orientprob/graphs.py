@@ -147,13 +147,9 @@ class EventExpr:
         return EventExpr(atoms=self.atoms + other.atoms)
 
     def validate_for(self, graph: Graph) -> None:
-        n = graph.vertex_count
         for sources, target in self.atoms:
-            if not (0 <= target < n):
-                raise InputError(f"target {target} out of range for vertex_count={n}")
-            for s in sources:
-                if not (0 <= s < n):
-                    raise InputError(f"source {s} out of range for vertex_count={n}")
+            for v in (target, *sources):
+                _check_vertex(graph, v)
 
 
 def _as_source_set(sources: Iterable[int] | int) -> frozenset[int]:
@@ -376,9 +372,12 @@ def reach_many(graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[i
     Cost O(sweeps * m) big-int ops over k bits.
     """
     src = _check_sources(graph, sources)
+    packed = isinstance(bits, PackedBatch)
+    if not (packed or isinstance(bits, np.ndarray) and bits.ndim == 2 and bits.dtype == bool):
+        raise InputError("bits must be a PackedBatch or a 2-d bool matrix")
     if bits.shape[1] != graph.edge_count:
         raise InputError("bits matrix width must equal the edge count")
-    batch = bits if isinstance(bits, PackedBatch) else PackedBatch.pack(bits)
+    batch = bits if packed else PackedBatch.pack(bits)
     full = (1 << batch.k) - 1
     return _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +30,8 @@ class GridSpec:
     bias: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.width, Integral) and isinstance(self.height, Integral)):
+            raise InputError(f"grid dimensions must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise InputError("grid dimensions must be >= 1")
         if not (0.0 <= self.bias <= 1.0):

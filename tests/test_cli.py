@@ -480,6 +480,12 @@ def test_sampled_entry_points_exit_cleanly(data):
     assert argv[argv.index("--seed") + 1] != "-1" or code == 3, argv
 
 
+def _non_utf8_file(directory):
+    path = directory / "latin1.edges"
+    path.write_bytes("# caf\xe9\n0 1 0.5\n".encode("latin-1"))
+    return path
+
+
 class TestInProcessExitCodes:
     """Inputs run through main in this process: a failure exits with its
     documented code and writes nothing to stdout."""
@@ -493,12 +499,35 @@ class TestInProcessExitCodes:
         "exact --random n5 --seed 1 --source 0 --target 1",
         "exact --random m=4 --seed 1 --source 0 --target 1",
         "exact --random n=5,m=4,p=0.3 --seed 1 --source 0 --target 1",
+        "exact --random n=x,m=3 --seed 1 --source 0 --target 1",
+        "exact --random n=5,m=y --seed 1 --source 0 --target 1",
+        "exact --random n=5,p=z --seed 1 --source 0 --target 1",
     ])
     def test_input_errors(self, capsys, argv):
         assert main(argv.split()) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("make_argv", [
+        lambda tmp: ["exact", "--graph", str(tmp), "--source", "0", "--target", "1"],
+        lambda tmp: ["exact", "--graph", str(_non_utf8_file(tmp)), "--source", "0", "--target", "1"],
+        lambda tmp: ["exact", "--complete", "3", "--source", "0", "--target", "1", "--output", str(tmp)],
+    ], ids=["directory-graph", "non-utf8-graph", "directory-output"])
+    def test_unreadable_or_unwritable_files(self, capsys, tmp_path, make_argv):
+        assert main(make_argv(tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "Traceback" not in captured.err
+
+    def test_event_vertex_message_is_the_same_for_both_methods(self, capsys):
+        errors = []
+        for method in ("recursion", "enumeration"):
+            assert main(f"exact --complete 6 --source 0 --target 9 --method {method}".split()) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == ["input error: vertex 9 out of range for vertex_count=6\n"] * 2
 
     def test_random_graph_without_seed_is_usage_error(self, capsys):
         assert main("mc --random n=5,m=4 --source 0 --target 1 --samples 10".split()) == 2

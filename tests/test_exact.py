@@ -17,6 +17,7 @@ from orientprob import (
     ResourceLimitError,
     brute_force_prob,
     build_grid,
+    build_proof_quadruple,
     complete_graph,
     exact_connection_prob,
     exact_joint_prob,
@@ -431,6 +432,38 @@ class TestPinnedStates:
         assert (conn_r.probability, conn_r.states_visited) == (0.9959624525508843, 37)
         assert (joint_r.probability, joint_r.states_visited) == (0.9939567121828077, 65)
         assert (conn_r.probability, joint_r.probability) == pytest.approx(_complete_unbiased(10), abs=1e-12)
+
+
+def _quadruple_cases():
+    """(graph, sources, a, b): one and two sources with targets outside them
+    on the batch corpus, and K10 as in the benchmark's fourfunc jobs."""
+    for graph in _batch_corpus():
+        n = graph.vertex_count
+        for src in ([0], [0, n - 1]):
+            rest = [v for v in range(n) if v not in src]
+            if rest:
+                yield graph, src, rest[0], rest[-1]
+    for src in ([0], [0, 3]):
+        yield complete_graph(10, 0.5), src, 1, 2
+
+
+class TestProofQuadruplePinned:
+    """build_proof_quadruple is the out-neighbourhood law times the recursion's
+    values, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_quadruple_cases()), ids=lambda c: f"n{c[0].vertex_count}-S{c[1]}")
+    def test_quadruple_equals_law_times_values(self, case):
+        g, src, a, b = case
+        quad = build_proof_quadruple(g, src, a, b)
+        law = out_neighborhood_distribution(g, src)
+        assert quad.ground == law.ground
+        rest = [v for v in range(g.vertex_count) if v not in src]
+        for i in range(1 << len(law.ground)):
+            mass = law.mass[i]
+            assert quad.delta[i] == mass
+            x = law.vertices_of(i)
+            values = ExactEngine(g).probabilities(x, [(a,), (b,), (a, b)], within=rest) if x else [0.0] * 3
+            assert [quad.alpha[i], quad.beta[i], quad.gamma[i]] == [mass * p for p in values]
 
 
 def _complete_unbiased(n):

@@ -95,6 +95,11 @@ class TestGraphRecords:
         with pytest.raises(InputError, match="width"):
             reach_many(triangle, np.zeros((2, 2), dtype=bool), 0)
 
+    @pytest.mark.parametrize("bits", [np.zeros(3, dtype=bool), np.zeros((2, 3)), [[True] * 3]])
+    def test_reach_many_takes_a_packed_batch_or_a_2d_bool_matrix(self, triangle, bits):
+        with pytest.raises(InputError, match="PackedBatch or a 2-d bool matrix"):
+            reach_many(triangle, bits, 0)
+
 
 class TestSubsetDistribution:
     @pytest.mark.parametrize("mass, message", [
@@ -111,6 +116,10 @@ class TestGridChecks:
     def test_rejected_inputs(self):
         with pytest.raises(InputError, match="bias"):
             GridSpec(2, 2, 1.5)
+        for width, height in ((2.5, 2), (2, 2.0), ("3", 2)):
+            with pytest.raises(InputError, match="integers"):
+                GridSpec(width, height, 0.5)
+        assert build_grid(GridSpec(np.int64(2), 3, 0.5)).graph == build_grid(GridSpec(2, 3, 0.5)).graph
         grid = build_grid(GridSpec(2, 2, 0.5))
         with pytest.raises(InputError, match="vertex 99 out of range"):
             grid_reach_stats(grid, 99, 10, 0)
