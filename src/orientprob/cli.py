@@ -133,6 +133,27 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
     ]
 
 
+def _check_output(path: str | None) -> None:
+    """Reject an --output path that cannot be written, before any work: a
+    directory, or a file whose directory is missing or not writable. The
+    file itself is written only once the result exists."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise InputError(f"--output {path!r} is a directory")
+    folder = target.parent
+    if not folder.is_dir():
+        raise InputError(f"--output {path!r}: {str(folder)!r} is not an existing directory")
+    if not os.access(folder, os.W_OK):
+        raise InputError(f"--output {path!r}: directory {str(folder)!r} is not writable")
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0.0:  # NaN fails every comparison
+        raise InputError(f"--tolerance must be a number >= 0, got {tolerance}")
+
+
 def _emit(args: argparse.Namespace, payload: dict | str) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if args.output:
@@ -198,6 +219,7 @@ def _cmd_mc_slack(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_t1(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     if args.mode == "montecarlo" or args.random is not None:
         _require_seed(args)
     if args.mode == "montecarlo":  # checked even when --trials 0 sweeps no graph
@@ -221,6 +243,7 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_t2(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     if args.random is not None:
         _require_seed(args)
     if args.random_sets is not None:
@@ -236,6 +259,7 @@ def _cmd_verify_t2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourfunc(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     graph = _graphs_from_args(args)[0]
     sources = _parse_int_list(args.source)
     quad = build_proof_quadruple(graph, sources, args.a, args.b)
@@ -245,6 +269,7 @@ def _cmd_fourfunc(args: argparse.Namespace) -> int:
 
 
 def _cmd_mcdiarmid(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     graph = _graphs_from_args(args)[0]
     tv = verify_mcdiarmid(graph, args.root, enum_cap=args.enum_cap)
     _emit(args, {"tv_distance": tv, "root": args.root, "edge_count": graph.edge_count,
@@ -416,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        _check_output(args.output)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -118,9 +118,12 @@ def _enumeration_chunks(
     factors in edge order, as a per-orientation product would.
 
     The weights buffer is reused: each block overwrites the previous one, so
-    a caller must finish with a block before asking for the next. A graph
-    of more than enum_cap edges raises ResourceLimitError on the call.
+    a caller must finish with a block before asking for the next. A negative
+    enum_cap raises InputError on the call, and a graph of more than enum_cap
+    edges ResourceLimitError.
     """
+    if enum_cap < 0:
+        raise InputError(f"enum_cap must be >= 0, got {enum_cap}")
     m = graph.edge_count
     if m > enum_cap:
         raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
@@ -224,7 +227,13 @@ class ExactEngine:
     nonempty part of it, so the child key needs no search of the graph, and
     a repeated child costs one dict probe. `states_visited` counts the
     subproblems expanded; `memo_cap` bounds the memo entries, aliases
-    included.
+    included, and a negative cap raises InputError.
+
+    The same rest R = region - S comes back under many (region, S) pairs, so
+    the engine keeps, for its lifetime, the component of R that holds the
+    lowest pending target, keyed by (R, that target's bit). `memo_cap` bounds
+    this cache as it bounds the batch tables: it is emptied when its entries
+    reach the cap, and it never raises.
 
     States are also taken up to twin swaps (see Graph.twin_classes): inside
     each class of more than one vertex, a state is moved to the image that
@@ -247,6 +256,8 @@ class ExactEngine:
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
+        if memo_cap < 0:
+            raise InputError(f"memo_cap must be >= 0, got {memo_cap}")
         self.graph = graph
         self.memo_cap = memo_cap
         self.states_visited = 0
@@ -255,6 +266,9 @@ class ExactEngine:
         # frontier tables of the current probabilities() call, else None
         self._tables: dict[tuple[int, ...], tuple[list[int], list[float]]] | None = None
         self._table_entries = 0
+        # (rest, seed bit) -> the seed's component in rest, for the engine's
+        # lifetime; emptied when it reaches memo_cap entries
+        self._components: dict[tuple[int, int], int] = {}
         # per twin class of more than one vertex: its mask and the masks of
         # its first k members, k = 0..size; and each vertex's first twin
         self._classes: list[tuple[int, list[int]]] = []
@@ -343,13 +357,10 @@ class ExactEngine:
             comp |= frontier
         return comp
 
-    def _store(self, key: tuple[int, int, int], value: float) -> None:
-        """Memoize one entry; memo_cap bounds the entries, aliases included."""
-        if len(self._memo) >= self.memo_cap:
-            raise ResourceLimitError(
-                f"memo table reached {len(self._memo)} entries, cap {self.memo_cap}"
-            )
-        self._memo[key] = value
+    def _memo_full(self) -> None:
+        """Raise for a store that would take the memo past memo_cap entries,
+        aliases included."""
+        raise ResourceLimitError(f"memo table reached {len(self._memo)} entries, cap {self.memo_cap}")
 
     def _canonical(self, region: int, src_mask: int, targets: int) -> tuple[int, int, int]:
         """The twin-swap image of (region, S, T) in which each nontrivial twin
@@ -417,11 +428,19 @@ class ExactEngine:
         if self._classes:
             region, src_mask, targets = self._canonical(region, src_mask, targets)
         rest = region & ~src_mask
+        found = self._components
         comps: list[int] = []
         covered = src_mask
         pending = targets
         while pending:
-            comp = self._component(rest, pending & -pending)
+            key = (rest, pending & -pending)
+            comp = found.get(key)
+            if comp is None:
+                comp = self._component(*key)
+                if len(found) >= self.memo_cap:
+                    found.clear()
+                else:
+                    found[key] = comp
             pending &= ~comp
             comps.append(comp)
             covered |= comp
@@ -434,11 +453,11 @@ class ExactEngine:
                 wanted = targets & comp
                 masks, masses = self._table(comp, src_mask, wanted)
                 part = 0.0
-                subsets = zip(masks, masses)
-                next(subsets)  # the empty set reaches nothing
-                for x, mass in subsets:
+                for i in range(1, len(masks)):  # entry 0, the empty set, reaches nothing
+                    mass = masses[i]
                     if mass == 0.0:
                         continue
+                    x = masks[i]
                     left = wanted & ~x
                     if left:
                         p = memo.get((comp, x, left))
@@ -450,9 +469,13 @@ class ExactEngine:
                 total *= part
                 if not total:
                     break
-            self._store(canonical, total)
+            if len(memo) >= self.memo_cap:
+                self._memo_full()
+            memo[canonical] = total
         if probe != canonical:
-            self._store(probe, total)
+            if len(memo) >= self.memo_cap:
+                self._memo_full()
+            memo[probe] = total
         return total
 
 
@@ -515,10 +538,15 @@ def _subset_table(
     without twins runs it at every state. Each mass is its factors
     multiplied in that order.
     """
-    masks = [0]
-    masses = [1.0]
-    for v, p in zip(vertices, probs):
-        bit = 1 << v
+    if vertices:  # the first vertex alone, as its doubling of [1.0] gives
+        masks = [0, 1 << vertices[0]]
+        masses = [1.0 - probs[0], probs[0]]
+    else:
+        masks = [0]
+        masses = [1.0]
+    for i in range(1, len(vertices)):
+        bit = 1 << vertices[i]
+        p = probs[i]
         q = 1.0 - p
         masses = [m * q for m in masses] + [m * p for m in masses]
         masks += [x | bit for x in masks]

@@ -502,6 +502,21 @@ class TestInProcessExitCodes:
         "exact --random n=x,m=3 --seed 1 --source 0 --target 1",
         "exact --random n=5,m=y --seed 1 --source 0 --target 1",
         "exact --random n=5,p=z --seed 1 --source 0 --target 1",
+        "fourfunc --complete 4 --source 0 --a 1 --b 2 --tolerance nan",
+        "fourfunc --complete 4 --source 0 --a 1 --b 2 --tolerance=-1e-9",
+        "mcdiarmid --complete 4 --root 0 --tolerance -1",
+        "mcdiarmid --complete 4 --root 0 --tolerance nan",
+        "verify-t1 --complete 4 --tolerance nan",
+        "verify-t1 --complete 4 --mode montecarlo --samples 100 --seed 1 --tolerance -1",
+        "verify-t2 --complete 4 --tolerance -0.5",
+        "verify-t2 --complete 4 --tolerance nan",
+        "exact --complete 4 --source 0 --target 1 --memo-cap -1",
+        "exact --complete 4 --source 0 --target 9 --memo-cap -1",
+        "exact --complete 4 --source 0 --target 1 --method enumeration --enum-cap -1",
+        "verify-t1 --complete 4 --memo-cap -1",
+        "verify-t2 --complete 4 --memo-cap -1",
+        "mcdiarmid --complete 4 --root 0 --enum-cap -1",
+        "alm-linusson --n 4 --enum-cap -1",
     ])
     def test_input_errors(self, capsys, argv):
         assert main(argv.split()) == 3
@@ -521,6 +536,45 @@ class TestInProcessExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        "exact --complete 4 --source 0 --target 1 --memo-cap 0",
+        "exact --complete 4 --source 0 --target 1 --method enumeration --enum-cap 0",
+    ])
+    def test_a_cap_of_zero_is_still_exhaustion(self, capsys, argv):
+        assert main(argv.split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("make_output", [
+        lambda tmp: tmp,
+        lambda tmp: tmp / "missing" / "report.json",
+        lambda tmp: tmp / "a-file" / "report.json",
+    ], ids=["directory", "missing-directory", "file-as-directory"])
+    def test_output_is_checked_before_any_work(self, capsys, monkeypatch, tmp_path, make_output):
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr("orientprob.cli.verify_theorem_1", lambda *args, **kwargs: pytest.fail("work ran"))
+        argv = ["verify-t1", "--complete", "4", "--output", str(make_output(tmp_path))]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: --output ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
+
+    def test_output_is_not_touched_when_the_run_fails(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("earlier report\n")
+        argv = ["exact", "--complete", "4", "--source", "0", "--target", "9", "--output", str(out_path)]
+        assert main(argv) == 3
+        assert out_path.read_text() == "earlier report\n"
+        fresh = tmp_path / "fresh.json"
+        argv = ["exact", "--complete", "4", "--source", "0", "--target", "1", "--memo-cap", "0",
+                "--output", str(fresh)]
+        assert main(argv) == 4
+        assert not fresh.exists()
+        assert capsys.readouterr().out == ""
 
     def test_event_vertex_message_is_the_same_for_both_methods(self, capsys):
         errors = []

@@ -653,6 +653,102 @@ def test_recursion_matches_independent_oracle(g, data):
         assert abs(engine.connection(src, t, within=within) - oracle_event_prob(kept, [(src, t)])) <= 1e-9
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_cached_component_equals_a_fresh_search(data):
+    g = data.draw(biased_graph(max_vertices=9, max_edges=16))
+    vertex = st.integers(0, g.vertex_count - 1)
+    engine = ExactEngine(g)
+    for _ in range(3):
+        src = data.draw(st.sets(vertex, min_size=1, max_size=3))
+        targets = data.draw(st.lists(st.lists(vertex, max_size=3), min_size=1, max_size=4))
+        engine.probabilities(src, targets)
+    assert engine._components or not engine.states_visited
+    for (rest, seed), comp in engine._components.items():
+        assert seed.bit_count() == 1 and seed & comp and not comp & ~rest
+        assert comp == engine._component(rest, seed)
+
+
+class _WatchedCache(dict):
+    """A dict that records its largest size and how often it was emptied."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def _spider(legs, length):
+    """Paths of `length` edges hung from vertex 0, with distinct biases so no
+    two vertices are twins; returns the graph and the far end of each leg."""
+    edges, ends, nxt = [], [], 1
+    for leg in range(legs):
+        prev = 0
+        for j in range(length):
+            edges.append((prev, nxt, round(0.3 + 0.05 * leg + 0.01 * j, 3)))
+            prev, nxt = nxt, nxt + 1
+        ends.append(prev)
+    return make_graph(nxt, edges), ends
+
+
+class TestComponentCache:
+    """The engine's cache of components is bounded by memo_cap, emptied when
+    it reaches the cap, and changes no value and no state count."""
+
+    def test_a_tight_cap_reports_as_the_default(self):
+        # all six leg ends as one target set: the first state splits into six
+        # components and the memo stays small, so the cache outgrows a cap
+        # that the memo fits in
+        g, ends = _spider(6, 3)
+        default = ExactEngine(g)
+        values = default.probabilities([0], [tuple(ends)])
+        entries = len(default._memo)
+        assert len(default._components) > entries
+        for cap in range(entries, len(default._components) + 2):
+            engine = ExactEngine(g, cap)
+            engine._components = watched = _WatchedCache()
+            assert engine.probabilities([0], [tuple(ends)]) == values
+            assert engine.states_visited == default.states_visited
+            assert list(engine._memo.items()) == list(default._memo.items())
+            assert watched.peak <= cap
+            assert (watched.clears > 0) == (cap < len(default._components))
+
+    def test_a_cap_of_zero_keeps_no_component(self):
+        engine = ExactEngine(build_grid(GridSpec(3, 3, 0.6)).graph, 0)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            engine.joint([0], 8, 2)
+        assert not engine._components
+
+
+class TestNegativeCaps:
+    """A negative cap is an input error, found before any other check; a cap
+    of 0 is still an exhausted resource."""
+
+    def test_negative_memo_cap(self, triangle):
+        with pytest.raises(InputError, match="memo_cap"):
+            ExactEngine(triangle, -1)
+        with pytest.raises(InputError, match="memo_cap"):
+            exact_connection_prob(triangle, 9, 1, memo_cap=-1)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            exact_connection_prob(triangle, 0, 1, memo_cap=0)
+
+    def test_negative_enum_cap(self, triangle):
+        with pytest.raises(InputError, match="enum_cap"):
+            _enumeration_chunks(triangle, -1)
+        with pytest.raises(InputError, match="enum_cap"):
+            brute_force_prob(triangle, conn(0, 9), enum_cap=-1)
+        with pytest.raises(ResourceLimitError, match="cap 0"):
+            brute_force_prob(triangle, conn(0, 1), enum_cap=0)
+
+
 class TestStructuralInvariants:
     def test_source_monotonicity(self):
         for i in range(8):
