@@ -149,6 +149,15 @@ def _check_output(path: str | None) -> None:
         raise InputError(f"--output {path!r}: directory {str(folder)!r} is not writable")
 
 
+def _check_caps(args: argparse.Namespace) -> None:
+    """Reject a negative --memo-cap or --enum-cap before any work, also on a
+    run that would build no engine or enumerate nothing."""
+    for name in ("memo_cap", "enum_cap"):
+        cap = getattr(args, name, None)
+        if cap is not None and cap < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {cap}")
+
+
 def _check_tolerance(tolerance: float) -> None:
     if not tolerance >= 0.0:  # NaN fails every comparison
         raise InputError(f"--tolerance must be a number >= 0, got {tolerance}")
@@ -442,6 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         _check_output(args.output)
+        _check_caps(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

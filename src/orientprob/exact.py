@@ -18,7 +18,10 @@ Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`, packed from the start. The low edge columns
 and their weights are the same in every block and are built once; a block
 only picks the constant high columns and scales the weights by their
-factors.
+factors. The reach columns the kernel returns stay packed until read: an
+event's indicator is the AND of its atoms' k-bit reach columns, unpacked
+once, and a set law builds each row's code bytes straight from the vertex
+columns, so no (k, n) bool matrix of reach rows is made.
 """
 
 from __future__ import annotations
@@ -171,11 +174,11 @@ def reachable_set_distribution(
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
     src = _check_sources(graph, sources)
-    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src))
+    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src, as_columns=True))
 
 
 def _enumerated_law(
-    graph: Graph, enum_cap: int, rows: Callable[[PackedBatch], np.ndarray]
+    graph: Graph, enum_cap: int, rows: Callable[[PackedBatch], PackedBatch]
 ) -> SubsetDistribution:
     """Law of the vertex set that rows(block) marks in each orientation's
     row, over all 2^m orientations of the graph and their probabilities."""
@@ -185,18 +188,20 @@ def _enumerated_law(
     return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
 
 
-def _accumulate_row_masses(rows: np.ndarray, weights: np.ndarray, acc: dict[int, float]) -> None:
-    """Add each row's weight to acc[mask], bit j of mask set when column j
-    is. Rows are packed first column to lowest bit, so a packed row is its
-    mask."""
-    codes = np.packbits(rows, axis=1, bitorder="little")
-    if codes.shape[1] == 1:
-        code = codes[:, 0]
+def _accumulate_row_masses(rows: PackedBatch, weights: np.ndarray, acc: dict[int, float]) -> None:
+    """Add row i's weight to acc[mask], bit j of mask set when bit i of
+    rows.columns[j] is. Byte j >> 3 of row i's code takes bit i of column j
+    at bit j & 7, first column to lowest bit, so a row's code is its mask."""
+    planes = np.zeros(((len(rows.columns) + 7) // 8, rows.k), dtype=np.uint8)
+    for j in range(len(rows.columns)):
+        planes[j >> 3] |= rows.column(j).view(np.uint8) << (j & 7)
+    if len(planes) == 1:
+        code = planes[0]
         present = np.flatnonzero(np.bincount(code, minlength=256))
         sums = np.bincount(code, weights=weights, minlength=256)[present]
         masks = present.tolist()
     else:
-        uniq, inv = np.unique(codes, axis=0, return_inverse=True)
+        uniq, inv = np.unique(planes.T, axis=0, return_inverse=True)
         sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
         masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
     for mask, s in zip(masks, sums.tolist()):

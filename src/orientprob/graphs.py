@@ -313,9 +313,13 @@ def holds(graph: Graph, orientation: Orientation, event: EventExpr) -> bool:
 
 @dataclass(frozen=True)
 class PackedBatch:
-    """k orientations stored by edge: bit i of columns[e] is the direction
-    of edge e in orientation i (1 = low -> high). shape is (k, m), the shape
-    of the bool matrix it stands for, so either can be handed to reach_many."""
+    """A (k, c) bool matrix stored by column: bit i of columns[j] is entry
+    [i, j]. As a batch of k orientations the columns are the edges, bit i of
+    columns[e] the direction of edge e in orientation i (1 = low -> high),
+    and shape (k, m) is that of the bool matrix it stands for, so either can
+    be handed to reach_many. As reach_many(..., as_columns=True) returns it,
+    the columns are the vertices, bit i of columns[v] telling whether row i
+    reaches v; a caller unpacks only the columns it reads."""
 
     columns: tuple[int, ...]
     k: int
@@ -345,8 +349,12 @@ class PackedBatch:
         return PackedBatch(columns, k)
 
     def unpack(self) -> np.ndarray:
-        """The (k, m) bool matrix: entry [i, e] is bit i of columns[e]."""
+        """The (k, c) bool matrix: entry [i, j] is bit i of columns[j]."""
         return _unpack_columns(self.columns, self.k)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j alone as a length-k bool vector, unpack()[:, j]."""
+        return _unpack_columns((self.columns[j],), self.k)[:, 0]
 
 
 def _unpack_columns(columns: Sequence[int], k: int) -> np.ndarray:
@@ -357,12 +365,17 @@ def _unpack_columns(columns: Sequence[int], k: int) -> np.ndarray:
     return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
 
 
-def reach_many(graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[int] | int) -> np.ndarray:
+def reach_many(
+    graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[int] | int, as_columns: bool = False
+) -> np.ndarray | PackedBatch:
     """Reachable-set indicators for many orientations at once.
 
     bits is a PackedBatch or a (k, m) bool matrix with bits[i, e] the
     direction of edge e in sample i; a matrix is packed first. Returns a
-    (k, n) boolean matrix; row i is the reachable set from sources.
+    (k, n) boolean matrix; row i is the reachable set from sources. With
+    as_columns=True it returns that matrix still packed, as a PackedBatch
+    of n vertex columns, so a caller that reads a few columns, or codes
+    rows straight from the bits, never unpacks the rest.
 
     Bit-sliced: each edge's column of k direction bits is one k-bit int, and
     so is each vertex's reach column. Sweeps run over the edge list forwards
@@ -379,15 +392,17 @@ def reach_many(graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[i
         raise InputError("bits matrix width must equal the edge count")
     batch = bits if packed else PackedBatch.pack(bits)
     full = (1 << batch.k) - 1
-    return _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
+    reach = _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
+    return reach if as_columns else reach.unpack()
 
 
 def _reach_packed(
     graph: Graph, fwd: list[int], bwd: list[int], sources: Iterable[int], k: int
-) -> np.ndarray:
-    """Fixed point of the sliced sweep: row i of the result holds the vertices
-    reached from the sources when edge e can be crossed low -> high where bit
-    i of fwd[e] is set, and high -> low where bit i of bwd[e] is set."""
+) -> PackedBatch:
+    """Fixed point of the sliced sweep, packed: bit i of column v is set when
+    v is reached from the sources in row i, where edge e can be crossed
+    low -> high when bit i of fwd[e] is set, and high -> low when bit i of
+    bwd[e] is. The columns stay k-bit ints; nothing is unpacked here."""
     reach = [0] * graph.vertex_count
     for s in sources:
         reach[s] = (1 << k) - 1
@@ -400,7 +415,7 @@ def _reach_packed(
         if reach == before:
             break
         steps.reverse()
-    return _unpack_columns(reach, k)
+    return PackedBatch(tuple(reach), k)
 
 
 def event_indicator_many(
@@ -409,15 +424,19 @@ def event_indicator_many(
     """Boolean matrix of shape (k, len(events)): entry [i, j] tells whether
     event j holds in orientation row i of bits, a PackedBatch or a (k, m)
     bool matrix as for reach_many. Each distinct source set is swept once
-    for all the events."""
+    for all the events; an event's column is the AND of its atoms' packed
+    reach columns, and only the event columns are unpacked."""
     events = list(events)
     for event in events:
         event.validate_for(graph)
-    out = np.ones((bits.shape[0], len(events)), dtype=bool)
-    cache: dict[frozenset[int], np.ndarray] = {}
-    for j, event in enumerate(events):
+    k = bits.shape[0]
+    cache: dict[frozenset[int], tuple[int, ...]] = {}
+    columns = []
+    for event in events:
+        column = (1 << k) - 1
         for sources, target in event.atoms:
             if sources not in cache:
-                cache[sources] = reach_many(graph, bits, sources)
-            out[:, j] &= cache[sources][:, target]
-    return out
+                cache[sources] = reach_many(graph, bits, sources, as_columns=True).columns
+            column &= cache[sources][target]
+        columns.append(column)
+    return _unpack_columns(columns, k)

@@ -214,7 +214,7 @@ def find_nonmonotonicity_witness(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp
     )
     for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
-        connected = np.flatnonzero(reach_many(graph, batch, a)[:, b])
+        connected = np.flatnonzero(reach_many(graph, batch, a, as_columns=True).column(b))
         if not len(connected):
             continue
         bits = batch.unpack()[connected]
@@ -222,7 +222,7 @@ def find_nonmonotonicity_witness(
         lane_edge = horizontal[lane_edge]
         lanes = bits[lane_row]
         lanes[np.arange(len(lane_row)), lane_edge] ^= True
-        lost = np.flatnonzero(~reach_many(graph, lanes, a)[:, b])
+        lost = np.flatnonzero(~reach_many(graph, lanes, a, as_columns=True).column(b))
         if len(lost):
             r, e = lane_row[lost[0]], int(lane_edge[lost[0]])
             witness = Witness(Orientation(tuple(int(x) for x in bits[r])), e, flip_direction, a, b)

@@ -517,6 +517,10 @@ class TestInProcessExitCodes:
         "verify-t2 --complete 4 --memo-cap -1",
         "mcdiarmid --complete 4 --root 0 --enum-cap -1",
         "alm-linusson --n 4 --enum-cap -1",
+        # caps the run would never use are checked too
+        "verify-t1 --random n=4,m=4 --seed 1 --trials 0 --memo-cap -1",
+        "exact --complete 4 --source 0 --target 1 --enum-cap -1",
+        "exact --complete 4 --source 0 --target 1 --method enumeration --memo-cap -1",
     ])
     def test_input_errors(self, capsys, argv):
         assert main(argv.split()) == 3

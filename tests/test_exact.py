@@ -30,6 +30,7 @@ from orientprob import (
 )
 from orientprob import exact
 from orientprob.exact import _accumulate_row_masses, _enumeration_chunks, _frontier
+from orientprob.graphs import PackedBatch
 from conftest import oracle_event_prob
 
 
@@ -84,7 +85,7 @@ def test_accumulate_row_masses_matches_plain_loop(n):
         mask = sum(1 << j for j, bit in enumerate(row) if bit)
         expected[mask] = expected.get(mask, 0.0) + w
     got: dict[int, float] = {}
-    _accumulate_row_masses(rows, weights, got)
+    _accumulate_row_masses(PackedBatch.pack(rows), weights, got)
     assert got == expected
     assert got[(1 << n) - 1] == 0.0
 
@@ -130,6 +131,60 @@ class TestEnumerationBlocks:
         default = results()
         monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
         assert results() == default
+
+
+class TestPinnedOracle:
+    """The enumeration oracle on non-dyadic biases, pinned bit for bit: a
+    change to how reach rows are built or coded may not move a float."""
+
+    # (event, value in 2^6-row blocks, value in one block)
+    CASES = [
+        (conn(0, 5), "0x1.610f9e49cfb72p-1", "0x1.610f9e49cfb73p-1"),
+        (conn(0, 5) & conn(0, 3), "0x1.5fb3935b50cb7p-1", "0x1.5fb3935b50cb6p-1"),
+        (conn({1, 4}, 2) & conn(3, 0), "0x1.56810fef09d65p-1", "0x1.56810fef09d65p-1"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=["single", "joint", "set-source"])
+    def test_brute_force_prob(self, monkeypatch, case):
+        event, blocked, whole = case
+        g = random_graph(6, edge_count=10, seed=11)
+        assert brute_force_prob(g, event).probability.hex() == whole
+        monkeypatch.setattr(exact, "_CHUNK_BITS", 6)  # 16 blocks
+        assert brute_force_prob(g, event).probability.hex() == blocked
+
+    # nine vertices, so each row's code is two bytes and goes through np.unique
+    LAW_GRAPH = dict(n=9, edge_count=9, seed=4)
+
+    def test_reachable_set_distribution(self):
+        g = random_graph(**self.LAW_GRAPH)
+        law = reachable_set_distribution(g, {0, 5})
+        assert {k: v.hex() for k, v in law.mass.items()} == {
+            0x021: '0x1.8815d996611c8p-15', 0x025: '0x1.d1e76d2615bcep-11', 0x029: '0x1.100c8d213d199p-18',
+            0x02d: '0x1.4c231abf214fbp-12', 0x031: '0x1.54e7197060202p-11', 0x035: '0x1.9515cbc0ae744p-7',
+            0x039: '0x1.d9125ffff53fep-15', 0x03d: '0x1.20c7b5cb5831cp-8', 0x069: '0x1.def149a3fa208p-13',
+            0x06d: '0x1.245d2471d2770p-6', 0x079: '0x1.a06bef3c47b70p-9', 0x07d: '0x1.fc65cacd5526bp-3',
+            0x0a9: '0x1.bd795a573a832p-18', 0x0ad: '0x1.0feef716c41f3p-11', 0x0b9: '0x1.8352741aaa4b6p-14',
+            0x0bd: '0x1.d8deed573eddfp-8', 0x0e9: '0x1.8820f22daac9dp-12', 0x0ed: '0x1.debd338917fa0p-6',
+            0x0f9: '0x1.54f0bf387ce12p-8', 0x0fd: '0x1.a03ea5c1f4f64p-2', 0x1a9: '0x1.04872ebd222d1p-18',
+            0x1ad: '0x1.3e124d47725a5p-12', 0x1b9: '0x1.c509a7dc98578p-15', 0x1bd: '0x1.148cf4563dcf1p-8',
+            0x1e9: '0x1.caa8ebf4a2051p-13', 0x1ed: '0x1.17fb88d12ce7ep-6', 0x1f9: '0x1.8ec96098aab90p-9',
+            0x1fd: '0x1.e6de182560532p-3',
+        }
+
+    def test_percolation_cluster_distribution(self):
+        g = random_graph(**self.LAW_GRAPH)
+        law = percolation_cluster_distribution(g, 8, 0.3)
+        assert {k: v.hex() for k, v in law.mass.items()} == {
+            0x100: '0x1.666666666666cp-1', 0x180: '0x1.ae147ae147ad5p-3', 0x188: '0x1.620ab71327240p-6',
+            0x189: '0x1.a8d9a87d622b4p-8', 0x18c: '0x1.a8d9a87d622b2p-8', 0x18d: '0x1.fdd1fd63429a4p-10',
+            0x1a8: '0x1.a05a6ccccbb9bp-9', 0x1a9: '0x1.31e464d527f63p-8', 0x1ac: '0x1.31e464d527f62p-8',
+            0x1ad: '0x1.8ad9c0d9ad0d6p-8', 0x1b8: '0x1.64dfcaf8ae9f2p-10', 0x1b9: '0x1.06317affd91c2p-9',
+            0x1bc: '0x1.06317affd91c2p-9', 0x1bd: '0x1.527180ba9454bp-9', 0x1c8: '0x1.2f76e6106ab11p-7',
+            0x1c9: '0x1.6c284746e66e2p-9', 0x1cc: '0x1.6c284746e66e2p-9', 0x1cd: '0x1.b4fd225514844p-11',
+            0x1e8: '0x1.64dfcaf8ae9f2p-10', 0x1e9: '0x1.06317affd91c2p-9', 0x1ec: '0x1.06317affd91c2p-9',
+            0x1ed: '0x1.527180ba9454bp-9', 0x1f8: '0x1.31e464d527f62p-11', 0x1f9: '0x1.c17965244f9e0p-11',
+            0x1fc: '0x1.c17965244f9dfp-11', 0x1fd: '0x1.2218253235ff8p-10',
+        }
 
 
 class TestEnumerationCheckOrder:

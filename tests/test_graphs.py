@@ -24,7 +24,7 @@ from orientprob import (
     reachable_set,
     sample_orientation,
 )
-from orientprob.graphs import PackedBatch
+from orientprob.graphs import PackedBatch, event_indicator_many
 from orientprob.montecarlo import draw_orientations
 
 
@@ -242,6 +242,39 @@ def test_reach_many_on_a_packed_batch_equals_its_bool_matrix(g, k, seed, data):
     drawn = draw_orientations(g, [(RandomStream(seed, 1), k)])
     assert PackedBatch.pack(drawn.unpack()) == drawn
     assert np.array_equal(reach_many(g, drawn, sources), reach_many(g, drawn.unpack(), sources))
+    # the vertex columns, left packed, unpack to the same matrix
+    matrix = reach_many(g, bits, sources)
+    columns = reach_many(g, bits, sources, as_columns=True)
+    assert isinstance(columns, PackedBatch) and columns.shape == (k, g.vertex_count)
+    assert all(0 <= c < 1 << k for c in columns.columns)
+    assert np.array_equal(columns.unpack(), matrix)
+    for v in range(g.vertex_count):
+        assert np.array_equal(columns.column(v), matrix[:, v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=graph_with_isolated_vertices(max_edges=12),
+    k=st.sampled_from([0, 1, 7, 9, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_event_indicator_many_equals_holds_on_every_row(g, k, seed, data):
+    vertex = st.integers(0, g.vertex_count - 1)
+    source_sets = data.draw(st.lists(st.frozensets(vertex, min_size=1, max_size=3), min_size=1, max_size=3))
+    atoms = st.lists(st.tuples(st.sampled_from(source_sets), vertex), min_size=1, max_size=3)
+    events = [EventExpr(tuple(a)) for a in data.draw(st.lists(atoms, max_size=4))]
+    src = source_sets[0]
+    events.append(EventExpr(((src, 0), (src, g.vertex_count - 1))))  # one source set in two atoms
+    rng = np.random.default_rng(seed)
+    bits = rng.random((k, g.edge_count)) < rng.random()
+    ind = event_indicator_many(g, bits, events)
+    assert ind.shape == (k, len(events)) and ind.dtype == bool
+    for i in range(k):
+        orientation = Orientation(tuple(int(b) for b in bits[i]))
+        assert ind[i].tolist() == [holds(g, orientation, event) for event in events]
+    assert np.array_equal(event_indicator_many(g, PackedBatch.pack(bits), events), ind)
+    assert event_indicator_many(g, bits, []).shape == (k, 0)
 
 
 def _open_cluster(g, open_bits, root):
