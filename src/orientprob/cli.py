@@ -110,10 +110,6 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> list[Graph]:
-    if trials is not None and trials < 0:
-        raise InputError(f"--trials must be >= 0, got {trials}")
-    if trials is not None and args.random is None:
-        raise UsageError("--trials applies to --random graphs only")
     if args.graph is not None:
         text = Path(args.graph).read_text(encoding="utf-8")
         return [parse_graph(text)]
@@ -123,8 +119,6 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
     if args.complete is not None:
         return [complete_graph(args.complete, args.bias)]
     spec = _parse_random_spec(args.random)
-    if args.seed is None:
-        raise UsageError("--random requires --seed")
     biases = "uniform" if args.bias_policy == "uniform" else float(args.bias)
     return [
         random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"),
@@ -149,18 +143,37 @@ def _check_output(path: str | None) -> None:
         raise InputError(f"--output {path!r}: directory {str(folder)!r} is not writable")
 
 
-def _check_caps(args: argparse.Namespace) -> None:
-    """Reject a negative --memo-cap or --enum-cap before any work, also on a
-    run that would build no engine or enumerate nothing."""
-    for name in ("memo_cap", "enum_cap"):
-        cap = getattr(args, name, None)
-        if cap is not None and cap < 0:
-            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {cap}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Decide every flag rule that needs no graph, before any file is read or
+    any graph is built. Value rules come first (exit 3), so a bad value is
+    reported whatever else is wrong; presence and placement rules follow
+    (exit 2). The library keeps its own checks for its own callers."""
+    def at_least_zero(*names: str) -> None:
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
-
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0.0:  # NaN fails every comparison
-        raise InputError(f"--tolerance must be a number >= 0, got {tolerance}")
+    _check_output(args.output)
+    at_least_zero("memo_cap", "enum_cap")
+    if not getattr(args, "tolerance", 0.0) >= 0.0:  # NaN fails every comparison
+        raise InputError(f"--tolerance must be a number >= 0, got {args.tolerance}")
+    at_least_zero("seed", "trials")
+    if args.command == "verify-t2":  # both source-set counts, with the policy's messages
+        SourceSetPolicy("up_to_size", args.max_set_size, args.random_sets or 0)
+    sampled = args.command in ("mc", "mc-slack", "grid-stats") or getattr(args, "mode", None) == "montecarlo"
+    if sampled:
+        slack = args.command in ("mc-slack", "verify-t1")  # batch means need two samples
+        _check_sample_counts(args.samples, args.streams, minimum=2 if slack else 1)
+    if args.command == "witness" and args.budget < 1:
+        raise InputError("budget must be >= 1")
+    random = getattr(args, "random", None)
+    if args.seed is None and random is not None:
+        raise UsageError("--random requires --seed")
+    if args.seed is None and (sampled or args.command == "witness" or getattr(args, "random_sets", None) is not None):
+        raise UsageError("this subcommand is randomized; --seed is required")
+    if getattr(args, "trials", None) is not None and random is None:
+        raise UsageError("--trials applies to --random graphs only")
 
 
 def _emit(args: argparse.Namespace, payload: dict | str) -> None:
@@ -177,14 +190,6 @@ def _emit(args: argparse.Namespace, payload: dict | str) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-
-
-def _require_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise UsageError("this subcommand is randomized; --seed is required")
-    if args.seed < 0:  # checked here, so also where no graph or sample is drawn
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
-    return args.seed
 
 
 def _event(args: argparse.Namespace, sources: list[int]) -> EventExpr:
@@ -210,29 +215,22 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     graph = _graphs_from_args(args)[0]
-    seed = _require_seed(args)
     event = _event(args, _parse_int_list(args.source))
-    report = estimate_event(graph, event, args.samples, seed, args.streams)
+    report = estimate_event(graph, event, args.samples, args.seed, args.streams)
     _emit(args, report.as_dict())
     return EXIT_OK
 
 
 def _cmd_mc_slack(args: argparse.Namespace) -> int:
     graph = _graphs_from_args(args)[0]
-    seed = _require_seed(args)
     sources = _parse_int_list(args.source)
-    slack, se = estimate_slack(graph, sources, args.a, args.b, args.samples, seed, args.streams)
+    slack, se = estimate_slack(graph, sources, args.a, args.b, args.samples, args.seed, args.streams)
     _emit(args, {"slack": slack, "std_error": se, "samples": args.samples,
-                 "seed": seed, "streams": args.streams})
+                 "seed": args.seed, "streams": args.streams})
     return EXIT_OK
 
 
 def _cmd_verify_t1(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tolerance)
-    if args.mode == "montecarlo" or args.random is not None:
-        _require_seed(args)
-    if args.mode == "montecarlo":  # checked even when --trials 0 sweeps no graph
-        _check_sample_counts(args.samples, args.streams, minimum=2)
     graphs = _graphs_from_args(args, trials=args.trials)
     reports = [
         verify_theorem_1(
@@ -240,7 +238,7 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
             mode=args.mode,
             tolerance=args.tolerance,
             samples=args.samples,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             streams=args.streams,
             memo_cap=args.memo_cap,
         )
@@ -252,11 +250,8 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_t2(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tolerance)
-    if args.random is not None:
-        _require_seed(args)
     if args.random_sets is not None:
-        policy = SourceSetPolicy.random(args.random_sets, _require_seed(args))
+        policy = SourceSetPolicy.random(args.random_sets, args.seed)
     else:
         policy = SourceSetPolicy.up_to_size(args.max_set_size)
     graphs = _graphs_from_args(args, trials=args.trials)
@@ -268,7 +263,6 @@ def _cmd_verify_t2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourfunc(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tolerance)
     graph = _graphs_from_args(args)[0]
     sources = _parse_int_list(args.source)
     quad = build_proof_quadruple(graph, sources, args.a, args.b)
@@ -278,7 +272,6 @@ def _cmd_fourfunc(args: argparse.Namespace) -> int:
 
 
 def _cmd_mcdiarmid(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tolerance)
     graph = _graphs_from_args(args)[0]
     tv = verify_mcdiarmid(graph, args.root, enum_cap=args.enum_cap)
     _emit(args, {"tv_distance": tv, "root": args.root, "edge_count": graph.edge_count,
@@ -287,13 +280,11 @@ def _cmd_mcdiarmid(args: argparse.Namespace) -> int:
 
 
 def _cmd_alm_linusson(args: argparse.Namespace) -> int:
-    if args.mode == "montecarlo":
-        _require_seed(args)
     result = alm_linusson_covariance(
         args.n,
         mode=args.mode,
         samples=args.samples,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         streams=args.streams,
         enum_cap=args.enum_cap,
     )
@@ -302,7 +293,6 @@ def _cmd_alm_linusson(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid_stats(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
     w, h = _parse_grid_dims(args.grid)
     try:
         biases = [float(x) for x in args.bias.split(",")]
@@ -312,7 +302,7 @@ def _cmd_grid_stats(args: argparse.Namespace) -> int:
     for p in biases:
         grid = build_grid(GridSpec(w, h, p))
         origin = grid.id_of(*_parse_xy(args.origin))
-        rows.append(grid_reach_stats(grid, origin, args.samples, seed, args.streams))
+        rows.append(grid_reach_stats(grid, origin, args.samples, args.seed, args.streams))
     if args.format == "csv":
         _emit(args, "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]))
     else:
@@ -321,12 +311,11 @@ def _cmd_grid_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
     w, h = _parse_grid_dims(args.grid)
     grid = build_grid(GridSpec(w, h, args.bias))
     a = grid.id_of(*_parse_xy(args.a))
     b = grid.id_of(*_parse_xy(args.b))
-    result = find_nonmonotonicity_witness(grid, a, b, args.flip, args.budget, seed)
+    result = find_nonmonotonicity_witness(grid, a, b, args.flip, args.budget, args.seed)
     if result.found:
         w_ = result.witness
         edge = grid.graph.edges[w_.edge_index]
@@ -356,17 +345,36 @@ def build_parser() -> argparse.ArgumentParser:
     # parser. Every subcommand built from a parent shares its actions, so
     # their defaults are set here only: a subcommand's set_defaults on one
     # of them would change it for all.
-    graph = argparse.ArgumentParser(add_help=False)
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    graph = shared()
     _add_graph_source(graph)
-    streams = argparse.ArgumentParser(add_help=False)
+    streams = shared()
     streams.add_argument("--streams", type=int, default=1)
-    memo_cap = argparse.ArgumentParser(add_help=False)
+    memo_cap = shared()
     memo_cap.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
-    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap = shared()
     enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    seed_output = argparse.ArgumentParser(add_help=False)
+    seed_output = shared()
     seed_output.add_argument("--seed", type=int, help="seed of every random draw (samples, --random, --random-sets)")
     seed_output.add_argument("--output", metavar="PATH", help="write machine output to a file instead of stdout")
+    source = shared()  # nested in targets and pair: one --source action for all four
+    source.add_argument("--source", required=True, help="comma-separated source vertex ids")
+    targets = shared(source)
+    targets.add_argument("--target", type=int, required=True)
+    targets.add_argument("--target2", type=int, help="second target for a joint event")
+    pair = shared(source)
+    pair.add_argument("--a", type=int, required=True)
+    pair.add_argument("--b", type=int, required=True)
+    tolerance = shared()
+    tolerance.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
+    sweep = shared(tolerance)
+    sweep.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
+    mode = shared()
+    mode.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
+    box = shared()
+    box.add_argument("--grid", required=True, metavar="WxH")
 
     def command(name: str, func: Callable[[argparse.Namespace], int], summary: str,
                 *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -374,61 +382,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("exact", _cmd_exact, "exact connection or joint probability", graph, memo_cap, enum_cap)
-    p.add_argument("--source", required=True, help="comma-separated source vertex ids")
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--target2", type=int, help="second target for a joint event")
+    p = command("exact", _cmd_exact, "exact connection or joint probability", graph, targets, memo_cap, enum_cap)
     p.add_argument("--method", choices=["recursion", "enumeration"], default="recursion")
 
-    p = command("mc", _cmd_mc, "Monte Carlo event estimate", graph, streams)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--target2", type=int)
+    p = command("mc", _cmd_mc, "Monte Carlo event estimate", graph, targets, streams)
     p.add_argument("--samples", type=int, required=True)
 
-    p = command("mc-slack", _cmd_mc_slack, "paired Monte Carlo slack estimate", graph, streams)
-    p.add_argument("--source", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = command("mc-slack", _cmd_mc_slack, "paired Monte Carlo slack estimate", graph, pair, streams)
     p.add_argument("--samples", type=int, required=True)
 
-    p = command("verify-t1", _cmd_verify_t1, "slack sweep over all ordered vertex triples", graph, streams, memo_cap)
-    p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
-    p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
-    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
+    p = command("verify-t1", _cmd_verify_t1, "slack sweep over all ordered vertex triples",
+                graph, sweep, mode, streams, memo_cap)
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = command("verify-t2", _cmd_verify_t2, "slack sweep with set sources", graph, memo_cap)
-    p.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
+    p = command("verify-t2", _cmd_verify_t2, "slack sweep with set sources", graph, sweep, memo_cap)
     p.add_argument("--max-set-size", type=int, default=3)
     p.add_argument("--random-sets", type=int, help="sample this many source sets instead")
-    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
 
-    p = command("fourfunc", _cmd_fourfunc, "build and check the conditioned quadruple", graph)
-    p.add_argument("--source", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = command("fourfunc", _cmd_fourfunc, "build and check the conditioned quadruple", graph, pair)
     p.add_argument("--tolerance", type=float, default=HYPOTHESIS_TOL)
 
-    p = command("mcdiarmid", _cmd_mcdiarmid, "orientation reach law vs percolation cluster law", graph, enum_cap)
+    p = command("mcdiarmid", _cmd_mcdiarmid, "orientation reach law vs percolation cluster law",
+                graph, tolerance, enum_cap)
     p.add_argument("--root", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
 
     p = command("alm-linusson", _cmd_alm_linusson, "covariance of a->s and s->b on an unbiased complete graph",
-                streams, enum_cap)
+                mode, streams, enum_cap)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
 
-    p = command("grid-stats", _cmd_grid_stats, "sampled reach statistics on a grid box", streams)
-    p.add_argument("--grid", required=True, metavar="WxH")
+    p = command("grid-stats", _cmd_grid_stats, "sampled reach statistics on a grid box", box, streams)
     p.add_argument("--bias", default="0.5", help="comma-separated list of biases, one CSV row each")
     p.add_argument("--origin", default="0,0", metavar="x,y")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = command("witness", _cmd_witness, "search for a connection-breaking single-edge flip")
-    p.add_argument("--grid", required=True, metavar="WxH")
+    p = command("witness", _cmd_witness, "search for a connection-breaking single-edge flip", box)
     p.add_argument("--bias", type=float, default=0.5)
     p.add_argument("--a", required=True, metavar="x,y")
     p.add_argument("--b", required=True, metavar="x,y")
@@ -450,8 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        _check_output(args.output)
-        _check_caps(args)
+        _check_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

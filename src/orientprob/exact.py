@@ -117,8 +117,8 @@ def _enumeration_chunks(
     columns hold the constant bit e of `start`, 0 or all ones. The low
     columns and their weights are built once; each block only picks the high
     columns and multiplies a copy of the low weights by the high factors.
-    Weights are doubled column by column, so every row multiplies its
-    factors in edge order, as a per-orientation product would.
+    Weights are doubled column by column in one buffer, so every row
+    multiplies its factors in edge order, as a per-orientation product would.
 
     The weights buffer is reused: each block overwrites the previous one, so
     a caller must finish with a block before asking for the next. A negative
@@ -144,9 +144,12 @@ def _enumeration_chunks(
                 column |= column << period
                 period *= 2
             low_columns.append(column)
-        low_weights = np.ones(1, dtype=np.float64)
+        low_weights = np.empty(k, dtype=np.float64)
+        low_weights[0] = 1.0
         for e in range(low):
-            low_weights = np.concatenate((low_weights * (1.0 - biases[e]), low_weights * biases[e]))
+            run = 1 << e
+            np.multiply(low_weights[:run], biases[e], out=low_weights[run:2 * run])
+            low_weights[:run] *= 1.0 - biases[e]
         weights = np.empty(k, dtype=np.float64)
         for start in range(0, 1 << m, k):
             high = [(start >> e) & 1 for e in range(low, m)]

@@ -121,6 +121,9 @@ def grid_reach_stats(
     blocks = _sampled_blocks(graph, samples, seed, streams)
     _check_vertex(graph, origin)
     dist = grid.chebyshev_distances(origin)
+    # the (k, n) products below take one byte each, not eight, up to a
+    # radius of 255
+    dist = dist.astype(np.min_scalar_type(int(dist.max())))
     boundary = list(grid.far_boundary)
 
     tot_size = 0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import orientprob
 from orientprob import ExactEngine, GridSpec, Witness, build_grid
-from orientprob.cli import main
+from orientprob import cli
+from orientprob.cli import build_parser, main
 
 TRIANGLE = "0 1 0.5\n0 2 0.5\n1 2 0.5\n"
 
@@ -605,3 +607,113 @@ class TestInProcessExitCodes:
         assert code == 0
         graph = orientprob.random_graph(5, edge_prob=0.6, biases=0.3, seed=2)
         assert out["prob"] == orientprob.exact_connection_prob(graph, 0, 4).probability
+
+
+class TestFlagDeclarations:
+    # Option strings that name a different flag on some subcommands, with the
+    # number of distinct declarations: --samples is required or has its own
+    # default per subcommand; --bias is the graph bias, grid-stats' list and
+    # witness's box bias; fourfunc's --tolerance has the hypothesis default;
+    # --grid is both a graph source and the box of grid-stats and witness;
+    # witness's --a and --b are grid points, not vertex ids.
+    DECLARATIONS = {"--samples": 5, "--bias": 3, "--tolerance": 2, "--grid": 2, "--a": 2, "--b": 2}
+
+    def test_each_shared_flag_is_one_action(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions: dict[str, dict[int, argparse.Action]] = {}
+        users: dict[str, set[str]] = {}
+        for name, parser in subparsers.choices.items():
+            for action in parser._actions:
+                for option in action.option_strings:
+                    if option not in ("-h", "--help"):
+                        actions.setdefault(option, {})[id(action)] = action
+                        users.setdefault(option, set()).add(name)
+        shared = {option: len(found) for option, found in actions.items() if len(users[option]) > 1}
+        assert {option for option, count in shared.items() if count > 1} == set(self.DECLARATIONS)
+        assert {option: shared[option] for option in self.DECLARATIONS} == self.DECLARATIONS
+        assert len(users["--tolerance"]) == 4 and len(users["--source"]) == 4
+
+
+def _flag_rule_cases():
+    """(argv, exit code) for each rule of the check pass in main, on every
+    subcommand. No case carries --seed unless it is negative, so every value
+    fault below also lacks a seed its run needs, and must still exit 3."""
+    drawing = {
+        "exact": "exact --random n=4,m=4 --source 0 --target 1",
+        "mc": "mc --complete 4 --source 0 --target 1 --samples 10",
+        "mc-slack": "mc-slack --complete 4 --source 0 --a 1 --b 2 --samples 10",
+        "verify-t1": "verify-t1 --complete 4 --mode montecarlo --samples 10",
+        "verify-t2": "verify-t2 --complete 4 --random-sets 2",
+        "fourfunc": "fourfunc --random n=4,m=4 --source 0 --a 1 --b 2",
+        "mcdiarmid": "mcdiarmid --random n=4,m=4 --root 0",
+        "alm-linusson": "alm-linusson --n 4 --mode montecarlo --samples 10",
+        "grid-stats": "grid-stats --grid 4x4 --samples 10",
+        "witness": "witness --grid 4x4 --a 0,0 --b 1,1",
+    }
+    bad_values = {
+        "exact": ["--memo-cap -1", "--enum-cap -1"],
+        "mc": ["--samples 0", "--streams 0"],
+        "mc-slack": ["--samples 1", "--streams 0"],
+        "verify-t1": ["--samples 1", "--streams 0", "--memo-cap -1", "--tolerance nan", "--trials -1"],
+        "verify-t2": ["--trials -1", "--max-set-size -1", "--random-sets -1", "--tolerance nan"],
+        "fourfunc": ["--tolerance nan"],
+        "mcdiarmid": ["--enum-cap -1", "--tolerance nan"],
+        "alm-linusson": ["--samples 0", "--streams 0", "--enum-cap -1"],
+        "grid-stats": ["--samples 0", "--streams 0"],
+        "witness": ["--budget 0"],
+    }
+    cases = []
+    for command, argv in drawing.items():
+        cases.append((argv, 2))
+        cases.append((argv + " --seed -1", 3))
+        cases += [(f"{argv} {flags}", 3) for flags in bad_values[command]]
+    return cases
+
+
+class TestFlagRules:
+    """The check pass in main decides every rule that needs no graph, before
+    any graph is built, so these runs never reach one."""
+
+    @pytest.fixture(autouse=True)
+    def no_graph(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("a graph was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "_graphs_from_args", fail)
+        monkeypatch.setattr(cli, "build_grid", fail)
+
+    @pytest.mark.parametrize("argv, code", _flag_rule_cases())
+    def test_value_rules_come_before_presence_rules(self, capsys, argv, code):
+        assert main(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: " if code == 3 else "usage error: ")
+        assert captured.err.count("\n") == 1
+
+    # inputs whose exit code or message changed when the rules moved to main
+    @pytest.mark.parametrize("argv, code, message", [
+        ("mc --graph missing.edges --source 0 --target 1 --samples 10", 2,
+         "usage error: this subcommand is randomized; --seed is required"),
+        ("mc-slack --graph missing.edges --source 0 --a 1 --b 2 --samples 10", 2,
+         "usage error: this subcommand is randomized; --seed is required"),
+        ("exact --random n=x,m=3 --source 0 --target 1", 2, "usage error: --random requires --seed"),
+        ("verify-t1 --random n=4,m=4", 2, "usage error: --random requires --seed"),
+        ("witness --grid 4x4 --a 0,0 --b 1,1 --budget 0", 3, "input error: budget must be >= 1"),
+        ("alm-linusson --n 4 --mode montecarlo --samples 0", 3, "input error: samples must be >= 1"),
+        ("verify-t2 --complete 4 --random-sets -1", 3,
+         "input error: random source set count must be >= 0, got -1"),
+        ("verify-t2 --complete 4 --random-sets 2 --max-set-size -1 --seed 1", 3,
+         "input error: maximum source set size must be >= 0, got -1"),
+        ("exact --random n=4,m=3 --seed -1 --source 0 --target 1", 3, "input error: --seed must be >= 0, got -1"),
+        ("mc --random n=5,m=4 --source 0 --target 1 --samples 10 --seed -1", 3,
+         "input error: --seed must be >= 0, got -1"),
+        ("verify-t1 --complete 4 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        ("exact --complete 4 --source 0 --target 1 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        ("fourfunc --complete 4 --source 0 --a 1 --b 2 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        ("mcdiarmid --complete 4 --root 0 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        ("alm-linusson --n 4 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+    ])
+    def test_announced_outcomes(self, capsys, tmp_path, monkeypatch, argv, code, message):
+        monkeypatch.chdir(tmp_path)  # missing.edges does not exist
+        assert main(argv.split()) == code
+        assert capsys.readouterr() == ("", message + "\n")

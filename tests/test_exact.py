@@ -114,6 +114,17 @@ class TestEnumerationBlocks:
                 assert bits[i].tolist() == [bool((row >> e) & 1) for e in range(m)]
                 assert weights[i] == w
 
+    @pytest.mark.parametrize("low", [0, 1, 5, 18])
+    def test_low_weights_equal_a_concatenation_bit_for_bit(self, low):
+        pairs = list(itertools.combinations(range(7), 2))[:low]
+        rng = random.Random(low)
+        g = make_graph(7, [(u, v, rng.random()) for u, v in pairs])
+        expected = np.ones(1)
+        for _, _, p in g.edges:
+            expected = np.concatenate((expected * (1.0 - p), expected * p))
+        _, weights = next(_enumeration_chunks(g))
+        assert weights.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("chunk_bits", [2, 3])
     def test_oracle_results_do_not_depend_on_the_block_size(self, monkeypatch, chunk_bits):
         # dyadic biases keep every product and sum exact, so a difference can

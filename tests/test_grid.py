@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orientprob.grid as grid_module
 from orientprob import (
@@ -14,6 +18,7 @@ from orientprob import (
     grid_reach_stats,
     reachable_set,
 )
+from orientprob.graphs import reach_many
 from orientprob.montecarlo import _sampled_blocks
 
 # documented fixed seed for the 8x7 witness search
@@ -71,6 +76,33 @@ class TestReachStats:
         assert st.mean_reach == 1.0
         assert st.max_radius == 0
         assert st.boundary_frac == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 7), st.integers(1, 7)) | st.sampled_from([(257, 1), (1, 300)]),
+           bias=st.floats(0.0, 1.0), origin=st.integers(0, 10**6), samples=st.integers(1, 200),
+           seed=st.integers(0, 2**32), streams=st.integers(1, 3))
+    def test_radii_equal_the_int64_products(self, dims, bias, origin, samples, seed, streams):
+        grid = build_grid(GridSpec(*dims, bias))
+        origin %= grid.graph.vertex_count
+        dist = grid.chebyshev_distances(origin)
+        radii = np.concatenate([(reach_many(grid.graph, batch, origin) * dist).max(axis=1)
+                                for _, batch in _sampled_blocks(grid.graph, samples, seed, streams)])
+        got = grid_reach_stats(grid, origin, samples, seed, streams)
+        assert (got.mean_radius, got.max_radius) == (int(radii.sum()) / samples, int(radii.max()))
+
+    def test_one_block_holds_no_int64_matrix(self):
+        grid = build_grid(GridSpec(16, 16, 0.5))
+        grid_reach_stats(grid, 0, samples=64, seed=1)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            grid_reach_stats(grid, 0, samples=1 << 16, seed=1)  # one block of 65,536 rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three bytes per (row, vertex): the bool reach matrix, its one-byte
+        # products with the distances and room for the packed columns; an
+        # int64 product matrix alone takes eight
+        assert peak < 3 * (1 << 16) * 256
 
     def test_deterministic_given_seed(self):
         a = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
