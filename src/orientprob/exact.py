@@ -322,32 +322,28 @@ class ExactEngine:
 
     def _batch(self, src_mask: int, masks: list[int], region: int) -> list[float]:
         """probabilities() on checked masks: the sources, each target set and
-        a region that holds the sources."""
+        a region that holds the sources. A target set less the sources is
+        probed by its own key (region, S, T); _reach_all computes a miss."""
         if len(masks) > 1:
             self._tables = {}
             self._table_entries = 0
+        memo = self._memo
+        values = []
         try:
-            return [self._query(src_mask, mask, region) for mask in masks]
+            for mask in masks:
+                targets = mask & ~src_mask
+                if not targets or targets & ~region:
+                    values.append(0.0 if targets else 1.0)
+                else:
+                    p = memo.get((region, src_mask, targets))
+                    values.append(self._reach_all(region, src_mask, targets) if p is None else p)
+            return values
         except RecursionError:
             raise ResourceLimitError(
                 f"recursion deeper than the interpreter stack limit ({sys.getrecursionlimit()} frames)"
             ) from None
         finally:
             self._tables = None
-
-    def _query(self, src_mask: int, targets: int, region: int) -> float:
-        targets &= ~src_mask
-        if not targets:
-            return 1.0
-        if targets & ~region:
-            return 0.0
-        key = (region, src_mask, targets)
-        if self._classes:
-            key = self._canonical(*key)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        return self._reach_all(*key)
 
     def _component(self, remaining: int, seed_mask: int) -> int:
         """Undirected component of the seed vertices inside `remaining`."""
@@ -382,34 +378,25 @@ class ExactEngine:
             region = region & ~cmask | prefixes[(region & cmask).bit_count()]
         return region, src_mask, targets
 
-    def _frontier_groups(
-        self, comp: int, src_mask: int, targets: int
-    ) -> tuple[tuple[()], tuple[()], list[tuple[float, list[int]]]]:
-        """The frontier of the sources in `comp` as groups (p, members) of
-        interchangeable vertices, the members of one twin class on one side
-        of the target set, in the order of their first members; twins share
-        their sources, so a group's members share its probability p. Given
-        as _subset_table's arguments, with no lone vertices."""
-        vertices, probs = _frontier(self.graph, comp, src_mask)
-        groups: dict[tuple[int, int], tuple[float, list[int]]] = {}
-        for v, p in zip(vertices, probs):
-            groups.setdefault((self._leader[v], targets >> v & 1), (p, []))[1].append(v)
-        return (), (), list(groups.values())
-
     def _table(self, comp: int, src_mask: int, wanted: int) -> tuple[list[int], list[float]]:
         """_subset_table of the frontier of the sources in `comp`, whose
         targets are `wanted`; taken from and added to the batch's tables
-        while a probabilities() call runs."""
+        while a probabilities() call runs. Twins are grouped by (first
+        twin, side of the target set), in the order of first members."""
         tables = self._tables
         key = (comp, src_mask, wanted) if self._classes else (comp, src_mask)
         if tables is not None:
             table = tables.get(key)
             if table is not None:
                 return table
+        vertices, probs = _frontier(self.graph, comp, src_mask)
         if self._classes:
-            table = _subset_table(*self._frontier_groups(comp, src_mask, wanted))
+            groups: dict[tuple[int, int], tuple[float, list[int]]] = {}
+            for v, p in zip(vertices, probs):
+                groups.setdefault((self._leader[v], wanted >> v & 1), (p, []))[1].append(v)
+            table = _subset_table([], [], groups.values())
         else:
-            table = _subset_table(*_frontier(self.graph, comp, src_mask))  # every group a lone vertex
+            table = _subset_table(vertices, probs)  # every group a lone vertex
         if tables is not None:
             self._table_entries += len(table[0])
             if self._table_entries >= self.memo_cap:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from numbers import Integral
+from typing import Iterable
 
 import numpy as np
 
@@ -116,15 +117,25 @@ def grid_reach_stats(
     streams: int = 1,
 ) -> GridReachStats:
     """Sampled statistics of the set reachable from the origin: size, escape
-    radius (Chebyshev), and how often the right/top boundary is touched."""
+    radius (Chebyshev), and how often the right/top boundary is touched.
+
+    Radii and boundary hits are read from the packed reach columns. Ring d
+    holds the vertices at distance d >= 1. A reach set is connected and
+    holds the origin, and a grid step moves the distance by at most 1, so a
+    row's radius is the number of rings it touches: the radii sum to the
+    rows touching each ring, and the largest is the count of rings touched."""
     spec, graph = grid.spec, grid.graph
     blocks = _sampled_blocks(graph, samples, seed, streams)
     _check_vertex(graph, origin)
     dist = grid.chebyshev_distances(origin)
-    # the (k, n) products below take one byte each, not eight, up to a
-    # radius of 255
-    dist = dist.astype(np.min_scalar_type(int(dist.max())))
-    boundary = list(grid.far_boundary)
+    rings = [np.flatnonzero(dist == d).tolist() for d in range(1, int(dist.max()) + 1)]
+
+    def touched(columns: tuple[int, ...], vertices: Iterable[int]) -> int:
+        """The rows, as a k-bit int, that reach any of the vertices."""
+        hit = 0
+        for v in vertices:
+            hit |= columns[v]
+        return hit
 
     tot_size = 0
     max_size = 0
@@ -132,14 +143,14 @@ def grid_reach_stats(
     max_radius = 0
     boundary_hits = 0
     for _, batch in blocks:
-        reach = reach_many(graph, batch, origin)
-        sizes = reach.sum(axis=1)
-        radii = (reach * dist).max(axis=1)
+        reach = reach_many(graph, batch, origin, as_columns=True)
+        sizes = reach.unpack().sum(axis=1)
         tot_size += int(sizes.sum())
         max_size = max(max_size, int(sizes.max()))
-        tot_radius += int(radii.sum())
-        max_radius = max(max_radius, int(radii.max()))
-        boundary_hits += int(reach[:, boundary].any(axis=1).sum())
+        ring_hits = [touched(reach.columns, ring).bit_count() for ring in rings]
+        tot_radius += sum(ring_hits)
+        max_radius = max(max_radius, sum(1 for hits in ring_hits if hits))
+        boundary_hits += touched(reach.columns, grid.far_boundary).bit_count()
     return GridReachStats(
         p=spec.bias,
         width=spec.width,

@@ -569,6 +569,17 @@ class TestInProcessExitCodes:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "missing").exists()
 
+    def test_an_unwritable_output_directory_is_an_input_error(self, capsys, monkeypatch, tmp_path):
+        # a root user may write anywhere, so the permission answer is stubbed
+        monkeypatch.setattr("orientprob.cli.os.access", lambda path, mode: False)
+        monkeypatch.setattr("orientprob.cli.verify_theorem_1", lambda *args, **kwargs: pytest.fail("work ran"))
+        argv = ["verify-t1", "--complete", "4", "--output", str(tmp_path / "report.json")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: --output ") and "is not writable" in captured.err
+        assert not (tmp_path / "report.json").exists()
+
     def test_output_is_not_touched_when_the_run_fails(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         out_path.write_text("earlier report\n")

@@ -561,6 +561,22 @@ def test_unbiased_complete_graph_matches_the_closed_form(n):
     assert engine.joint([n // 2], n - 1, 0) == pytest.approx(joint_p, abs=1e-12)
 
 
+@pytest.mark.parametrize("first, image", [
+    (([0], [5]), ([2], [3])),
+    (([0, 1], [4, 5]), ([3, 5], [0, 2])),
+    (([0], [1, 2]), ([5], [4, 3])),
+])
+def test_a_twin_image_of_an_earlier_query_expands_no_new_state(first, image):
+    engine = ExactEngine(complete_graph(6, 0.5))  # one twin class
+    p = engine.probabilities(first[0], [first[1]])[0]
+    states, entries = engine.states_visited, len(engine._memo)
+    assert engine.probabilities(image[0], [image[1]])[0].hex() == p.hex()
+    assert engine.states_visited == states
+    assert len(engine._memo) - entries <= 1  # the image's own key, as an alias
+    assert engine.probabilities(image[0], [image[1]])[0].hex() == p.hex()  # now a plain hit
+    assert len(engine._memo) - entries <= 1
+
+
 @st.composite
 def planted_twin_graph(draw):
     """(graph, planted classes) with n <= 6, labels shuffled so that a

@@ -104,6 +104,19 @@ class TestReachStats:
         # int64 product matrix alone takes eight
         assert peak < 3 * (1 << 16) * 256
 
+    def test_one_block_peaks_below_two_bytes_per_row_and_vertex(self):
+        grid = build_grid(GridSpec(16, 16, 0.5))
+        grid_reach_stats(grid, 0, samples=64, seed=1)
+        tracemalloc.start()
+        try:
+            grid_reach_stats(grid, 0, samples=1 << 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # radii and boundary hits come from the packed columns; only the
+        # sizes unpack the bool reach matrix, one byte per (row, vertex)
+        assert peak < 2 * (1 << 16) * 256
+
     def test_deterministic_given_seed(self):
         a = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
         b = grid_reach_stats(build_grid(GridSpec(6, 6, 0.5)), 0, samples=2_000, seed=9, streams=4)
@@ -216,6 +229,7 @@ class TestWitnessSearch:
         (3, 3, 0.5, (0, 0), (2, 2), "toward-high", 4),
         (2, 1, 0.5, (0, 0), (1, 0), "toward-high", 5),  # never found
         (4, 3, 0.5, (1, 1), (1, 1), "toward-low", 6),  # a = b: never lost
+        (8, 1, 0.5, (0, 0), (7, 0), "toward-high", 7),  # most blocks hold no connected orientation
     ])
     def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
         width, height, bias, a_xy, b_xy, flip, seed = case
