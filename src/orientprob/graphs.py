@@ -385,21 +385,15 @@ def reach_many(
     Cost O(sweeps * m) big-int ops over k bits.
     """
     src = _check_sources(graph, sources)
-    batch = _as_batch(graph, bits)
-    full = (1 << batch.k) - 1
-    reach = _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
-    return reach if as_columns else reach.unpack()
-
-
-def _as_batch(graph: Graph, bits: np.ndarray | PackedBatch) -> PackedBatch:
-    """bits checked to be a batch of the graph's orientations, a bool matrix
-    packed."""
     packed = isinstance(bits, PackedBatch)
     if not (packed or isinstance(bits, np.ndarray) and bits.ndim == 2 and bits.dtype == bool):
         raise InputError("bits must be a PackedBatch or a 2-d bool matrix")
     if bits.shape[1] != graph.edge_count:
         raise InputError("bits matrix width must equal the edge count")
-    return bits if packed else PackedBatch.pack(bits)
+    batch = bits if packed else PackedBatch.pack(bits)
+    full = (1 << batch.k) - 1
+    reach = _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
+    return reach if as_columns else reach.unpack()
 
 
 def _reach_packed(
@@ -431,13 +425,11 @@ def event_indicator_many(
     event j holds in orientation row i of bits, a PackedBatch or a (k, m)
     bool matrix as for reach_many. Each distinct source set is swept once
     for all the events; an event's column is the AND of its atoms' packed
-    reach columns, and only the event columns are unpacked. A matrix is
-    packed once, for every source set."""
+    reach columns, and only the event columns are unpacked."""
     events = list(events)
     for event in events:
         event.validate_for(graph)
-    bits = _as_batch(graph, bits)
-    k = bits.k
+    k = bits.shape[0]
     cache: dict[frozenset[int], tuple[int, ...]] = {}
     columns = []
     for event in events:

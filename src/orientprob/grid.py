@@ -5,9 +5,9 @@ flipping one edge in a fixed direction destroys a connection."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Integral
-from typing import Iterable
+from operator import or_
 
 import numpy as np
 
@@ -130,13 +130,6 @@ def grid_reach_stats(
     dist = grid.chebyshev_distances(origin)
     rings = [np.flatnonzero(dist == d).tolist() for d in range(1, int(dist.max()) + 1)]
 
-    def touched(columns: tuple[int, ...], vertices: Iterable[int]) -> int:
-        """The rows, as a k-bit int, that reach any of the vertices."""
-        hit = 0
-        for v in vertices:
-            hit |= columns[v]
-        return hit
-
     tot_size = 0
     max_size = 0
     tot_radius = 0
@@ -147,10 +140,11 @@ def grid_reach_stats(
         sizes = reach.unpack().sum(axis=1)
         tot_size += int(sizes.sum())
         max_size = max(max_size, int(sizes.max()))
-        ring_hits = [touched(reach.columns, ring).bit_count() for ring in rings]
+        # a vertex set's k-bit int marks the rows that reach any of it
+        ring_hits = [reduce(or_, (reach.columns[v] for v in ring), 0).bit_count() for ring in rings]
         tot_radius += sum(ring_hits)
         max_radius = max(max_radius, sum(1 for hits in ring_hits if hits))
-        boundary_hits += touched(reach.columns, grid.far_boundary).bit_count()
+        boundary_hits += reduce(or_, (reach.columns[v] for v in grid.far_boundary), 0).bit_count()
     return GridReachStats(
         p=spec.bias,
         width=spec.width,

@@ -277,25 +277,6 @@ def test_event_indicator_many_equals_holds_on_every_row(g, k, seed, data):
     assert event_indicator_many(g, bits, []).shape == (k, 0)
 
 
-def test_event_indicator_many_packs_a_matrix_once(monkeypatch):
-    g = complete_graph(5, 0.5)
-    bits = np.random.default_rng(0).random((100, g.edge_count)) < 0.5
-    packs = []
-    pack = PackedBatch.pack
-
-    def counted(matrix):
-        packs.append(matrix.shape)
-        return pack(matrix)
-
-    monkeypatch.setattr(PackedBatch, "pack", staticmethod(counted))
-    events = [EventExpr.connection(0, 4), EventExpr.connection([1, 2], 3), EventExpr.connection(3, 0)]
-    ind = event_indicator_many(g, bits, events)
-    assert packs == [(100, g.edge_count)]  # three source sets, one pack
-    for j, event in enumerate(events):
-        expected = [holds(g, Orientation(tuple(int(b) for b in row)), event) for row in bits]
-        assert ind[:, j].tolist() == expected
-
-
 def _open_cluster(g, open_bits, root):
     adj = {v: [] for v in range(g.vertex_count)}
     for is_open, (u, v, _) in zip(open_bits, g.edges):
