@@ -14,6 +14,7 @@ from .graphs import (
     EventExpr,
     Graph,
     Orientation,
+    PackedBatch,
     RandomStream,
     holds,
     make_graph,
@@ -76,6 +77,7 @@ __all__ = [
     "InputError",
     "InternalError",
     "Orientation",
+    "PackedBatch",
     "RandomStream",
     "ResourceLimitError",
     "SetFunctionQuadruple",

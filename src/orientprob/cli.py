@@ -50,6 +50,15 @@ class UsageError(Exception):
     """Flag combination errors: wrong flags for the chosen subcommand."""
 
 
+class _Given(argparse.Action):
+    """Store the value, and add the flag's dest to args.given, so a placement
+    rule can tell a given flag from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -174,6 +183,12 @@ def _check_args(args: argparse.Namespace) -> None:
         raise UsageError("this subcommand is randomized; --seed is required")
     if getattr(args, "trials", None) is not None and random is None:
         raise UsageError("--trials applies to --random graphs only")
+    given = getattr(args, "given", set())
+    unread = set() if sampled else given & {"samples", "streams"}
+    if unread:
+        raise UsageError(f"--{min(unread)} applies to --mode montecarlo only")
+    if "max_set_size" in given and args.random_sets is not None:
+        raise UsageError("--max-set-size does not apply with --random-sets")
 
 
 def _emit(args: argparse.Namespace, payload: dict | str) -> None:
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph = shared()
     _add_graph_source(graph)
     streams = shared()
-    streams.add_argument("--streams", type=int, default=1)
+    streams.add_argument("--streams", type=int, default=1, action=_Given)
     memo_cap = shared()
     memo_cap.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
     enum_cap = shared()
@@ -393,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-t1", _cmd_verify_t1, "slack sweep over all ordered vertex triples",
                 graph, sweep, mode, streams, memo_cap)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000, action=_Given)
 
     p = command("verify-t2", _cmd_verify_t2, "slack sweep with set sources", graph, sweep, memo_cap)
-    p.add_argument("--max-set-size", type=int, default=3)
+    p.add_argument("--max-set-size", type=int, default=3, action=_Given)
     p.add_argument("--random-sets", type=int, help="sample this many source sets instead")
 
     p = command("fourfunc", _cmd_fourfunc, "build and check the conditioned quadruple", graph, pair)
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("alm-linusson", _cmd_alm_linusson, "covariance of a->s and s->b on an unbiased complete graph",
                 mode, streams, enum_cap)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=1_000_000, action=_Given)
 
     p = command("grid-stats", _cmd_grid_stats, "sampled reach statistics on a grid box", box, streams)
     p.add_argument("--bias", default="0.5", help="comma-separated list of biases, one CSV row each")

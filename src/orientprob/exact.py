@@ -15,13 +15,13 @@ share one key (see ExactEngine). A batch of target sets for one source set
 the length of the call, so the target sets share them.
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
-bit-sliced kernel `reach_many`, packed from the start. The low edge columns
+bit-sliced kernel `reach_many`, as packed edge columns. The low edge columns
 and their weights are the same in every block and are built once; a block
 only picks the constant high columns and scales the weights by their
-factors. The reach columns the kernel returns stay packed until read: an
-event's indicator is the AND of its atoms' k-bit reach columns, unpacked
-once, and a set law builds each row's code bytes straight from the vertex
-columns, so no (k, n) bool matrix of reach rows is made.
+factors. The packed vertex columns the kernel returns stay packed until
+read: an event's indicator is the AND of its atoms' k-bit reach columns,
+unpacked once, and a set law builds each row's code bytes straight from the
+vertex columns, so no (k, n) bool matrix of reach rows is made.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def reachable_set_distribution(
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
     src = _check_sources(graph, sources)
-    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src, as_columns=True))
+    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src))
 
 
 def _enumerated_law(

@@ -277,6 +277,11 @@ def _check_orientation(graph: Graph, orientation: Orientation) -> None:
         )
 
 
+def _check_batch(bits: object) -> None:
+    if not isinstance(bits, PackedBatch):
+        raise InputError(f"bits must be a PackedBatch, not {type(bits).__name__}")
+
+
 def reachable_set(graph: Graph, orientation: Orientation, sources: Iterable[int] | int) -> set[int]:
     """Vertices reachable by directed paths (length >= 0) from any source."""
     src = _check_sources(graph, sources)
@@ -314,12 +319,10 @@ def holds(graph: Graph, orientation: Orientation, event: EventExpr) -> bool:
 @dataclass(frozen=True)
 class PackedBatch:
     """A (k, c) bool matrix stored by column: bit i of columns[j] is entry
-    [i, j]. As a batch of k orientations the columns are the edges, bit i of
-    columns[e] the direction of edge e in orientation i (1 = low -> high),
-    and shape (k, m) is that of the bool matrix it stands for, so either can
-    be handed to reach_many. As reach_many(..., as_columns=True) returns it,
-    the columns are the vertices, bit i of columns[v] telling whether row i
-    reaches v; a caller unpacks only the columns it reads."""
+    [i, j]. As a batch of k orientations, what reach_many takes, the columns
+    are the edges, bit i of columns[e] the direction of edge e in row i
+    (1 = low -> high); as reach_many returns it, the columns are the
+    vertices, bit i of columns[v] telling whether row i reaches v."""
 
     columns: tuple[int, ...]
     k: int
@@ -365,17 +368,10 @@ def _unpack_columns(columns: Sequence[int], k: int) -> np.ndarray:
     return np.unpackbits(byte_rows, axis=0, count=k, bitorder="little").view(bool)
 
 
-def reach_many(
-    graph: Graph, bits: np.ndarray | PackedBatch, sources: Iterable[int] | int, as_columns: bool = False
-) -> np.ndarray | PackedBatch:
-    """Reachable-set indicators for many orientations at once.
-
-    bits is a PackedBatch or a (k, m) bool matrix with bits[i, e] the
-    direction of edge e in sample i; a matrix is packed first. Returns a
-    (k, n) boolean matrix; row i is the reachable set from sources. With
-    as_columns=True it returns that matrix still packed, as a PackedBatch
-    of n vertex columns, so a caller that reads a few columns, or codes
-    rows straight from the bits, never unpacks the rest.
+def reach_many(graph: Graph, bits: PackedBatch, sources: Iterable[int] | int) -> PackedBatch:
+    """Reachable sets for many orientations at once: bits packs k
+    orientations of the m edges, and the result packs the (k, n) reach
+    matrix by vertex, bit i of column v set when row i reaches v.
 
     Bit-sliced: each edge's column of k direction bits is one k-bit int, and
     so is each vertex's reach column. Sweeps run over the edge list forwards
@@ -385,15 +381,11 @@ def reach_many(
     Cost O(sweeps * m) big-int ops over k bits.
     """
     src = _check_sources(graph, sources)
-    packed = isinstance(bits, PackedBatch)
-    if not (packed or isinstance(bits, np.ndarray) and bits.ndim == 2 and bits.dtype == bool):
-        raise InputError("bits must be a PackedBatch or a 2-d bool matrix")
-    if bits.shape[1] != graph.edge_count:
+    _check_batch(bits)
+    if len(bits.columns) != graph.edge_count:
         raise InputError("bits matrix width must equal the edge count")
-    batch = bits if packed else PackedBatch.pack(bits)
-    full = (1 << batch.k) - 1
-    reach = _reach_packed(graph, batch.columns, [full ^ f for f in batch.columns], src, batch.k)
-    return reach if as_columns else reach.unpack()
+    full = (1 << bits.k) - 1
+    return _reach_packed(graph, bits.columns, [full ^ f for f in bits.columns], src, bits.k)
 
 
 def _reach_packed(
@@ -418,25 +410,23 @@ def _reach_packed(
     return PackedBatch(tuple(reach), k)
 
 
-def event_indicator_many(
-    graph: Graph, bits: np.ndarray | PackedBatch, events: Iterable[EventExpr]
-) -> np.ndarray:
+def event_indicator_many(graph: Graph, bits: PackedBatch, events: Iterable[EventExpr]) -> np.ndarray:
     """Boolean matrix of shape (k, len(events)): entry [i, j] tells whether
-    event j holds in orientation row i of bits, a PackedBatch or a (k, m)
-    bool matrix as for reach_many. Each distinct source set is swept once
-    for all the events; an event's column is the AND of its atoms' packed
-    reach columns, and only the event columns are unpacked."""
+    event j holds in row i of the PackedBatch bits. Each distinct source
+    set is swept once for all the events; an event's column is the AND of
+    its atoms' packed reach columns, and only those columns are unpacked."""
+    _check_batch(bits)
     events = list(events)
     for event in events:
         event.validate_for(graph)
-    k = bits.shape[0]
+    k = bits.k
     cache: dict[frozenset[int], tuple[int, ...]] = {}
     columns = []
     for event in events:
         column = (1 << k) - 1
         for sources, target in event.atoms:
             if sources not in cache:
-                cache[sources] = reach_many(graph, bits, sources, as_columns=True).columns
+                cache[sources] = reach_many(graph, bits, sources).columns
             column &= cache[sources][target]
         columns.append(column)
     return _unpack_columns(columns, k)

@@ -12,7 +12,7 @@ from operator import or_
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graphs import Graph, Orientation, _check_vertex, make_graph, reach_many, reachable_set
+from .graphs import Graph, Orientation, PackedBatch, _check_vertex, make_graph, reach_many, reachable_set
 from .montecarlo import _sampled_blocks
 
 TOWARD_HIGH = "toward-high"
@@ -136,7 +136,7 @@ def grid_reach_stats(
     max_radius = 0
     boundary_hits = 0
     for _, batch in blocks:
-        reach = reach_many(graph, batch, origin, as_columns=True)
+        reach = reach_many(graph, batch, origin)
         sizes = reach.unpack().sum(axis=1)
         tot_size += int(sizes.sum())
         max_size = max(max_size, int(sizes.max()))
@@ -222,7 +222,7 @@ def find_nonmonotonicity_witness(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp
     )
     for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
-        connected = np.flatnonzero(reach_many(graph, batch, a, as_columns=True).column(b))
+        connected = np.flatnonzero(reach_many(graph, batch, a).column(b))
         if not len(connected):
             continue
         bits = batch.unpack()[connected]
@@ -230,7 +230,7 @@ def find_nonmonotonicity_witness(
         lane_edge = horizontal[lane_edge]
         lanes = bits[lane_row]
         lanes[np.arange(len(lane_row)), lane_edge] ^= True
-        lost = np.flatnonzero(~reach_many(graph, lanes, a, as_columns=True).column(b))
+        lost = np.flatnonzero(~reach_many(graph, PackedBatch.pack(lanes), a).column(b))
         if len(lost):
             r, e = lane_row[lost[0]], int(lane_edge[lost[0]])
             witness = Witness(Orientation(tuple(int(x) for x in bits[r])), e, flip_direction, a, b)

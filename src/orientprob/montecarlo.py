@@ -210,12 +210,12 @@ def estimate_event(
     return EstimateReport(est, samples, se, ci, seed, streams)
 
 
-def paired_slacks(cols: np.ndarray, batches: int = _SLACK_BATCHES) -> tuple[np.ndarray, np.ndarray]:
+def paired_slacks(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
     a (samples, k) indicator matrix, all events read on the same samples.
 
     Returns two (k, k) arrays: the estimates, and their standard errors from
-    the same slack computed on min(batches, samples) nonoverlapping batches.
+    the same slack on min(_SLACK_BATCHES, samples) nonoverlapping batches.
     Counts are exact integers in float64, so every estimate is the same
     float as the scalar expression count_ij/n - (count_i/n)(count_j/n).
     """
@@ -223,7 +223,7 @@ def paired_slacks(cols: np.ndarray, batches: int = _SLACK_BATCHES) -> tuple[np.n
     x = cols.astype(np.float64)
     p = x.sum(axis=0) / samples
     est = (x.T @ x) / samples - p[:, None] * p[None, :]
-    b = min(batches, samples)
+    b = min(_SLACK_BATCHES, samples)
     if b < 2:
         return est, np.zeros_like(est)
     bounds = [i * samples // b for i in range(b + 1)]

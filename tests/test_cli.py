@@ -723,6 +723,13 @@ class TestFlagRules:
         ("fourfunc --complete 4 --source 0 --a 1 --b 2 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
         ("mcdiarmid --complete 4 --root 0 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
         ("alm-linusson --n 4 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        # flags the run would not read
+        ("verify-t1 --complete 4 --samples 0", 2, "usage error: --samples applies to --mode montecarlo only"),
+        ("verify-t1 --complete 4 --streams 0", 2, "usage error: --streams applies to --mode montecarlo only"),
+        ("alm-linusson --n 4 --samples 0", 2, "usage error: --samples applies to --mode montecarlo only"),
+        ("alm-linusson --n 4 --streams 0", 2, "usage error: --streams applies to --mode montecarlo only"),
+        ("verify-t2 --complete 4 --random-sets 2 --max-set-size 5 --seed 1", 2,
+         "usage error: --max-set-size does not apply with --random-sets"),
     ])
     def test_announced_outcomes(self, capsys, tmp_path, monkeypatch, argv, code, message):
         monkeypatch.chdir(tmp_path)  # missing.edges does not exist

@@ -85,7 +85,7 @@ class TestReachStats:
         grid = build_grid(GridSpec(*dims, bias))
         origin %= grid.graph.vertex_count
         dist = grid.chebyshev_distances(origin)
-        radii = np.concatenate([(reach_many(grid.graph, batch, origin) * dist).max(axis=1)
+        radii = np.concatenate([(reach_many(grid.graph, batch, origin).unpack() * dist).max(axis=1)
                                 for _, batch in _sampled_blocks(grid.graph, samples, seed, streams)])
         got = grid_reach_stats(grid, origin, samples, seed, streams)
         assert (got.mean_radius, got.max_radius) == (int(radii.sum()) / samples, int(radii.max()))

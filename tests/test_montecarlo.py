@@ -187,10 +187,11 @@ class TestEstimateSlack:
 
 
 @pytest.mark.parametrize("samples, batches", [(1, 100), (7, 100), (250, 100), (1001, 100), (999, 7)])
-def test_paired_slacks_match_the_scalar_batch_loop(samples, batches):
+def test_paired_slacks_match_the_scalar_batch_loop(samples, batches, monkeypatch):
+    monkeypatch.setattr("orientprob.montecarlo._SLACK_BATCHES", batches)
     rng = np.random.default_rng(samples)
     cols = rng.random((samples, 4)) < [0.0, 0.3, 0.8, 1.0]
-    est, se = paired_slacks(cols, batches)
+    est, se = paired_slacks(cols)
     b = min(batches, samples)
     bounds = [i * samples // b for i in range(b + 1)]
     for i in range(4):

@@ -11,6 +11,7 @@ from orientprob import (
     GridSpec,
     InputError,
     Orientation,
+    PackedBatch,
     RandomStream,
     ResourceLimitError,
     SetFunctionQuadruple,
@@ -30,6 +31,7 @@ from orientprob import (
     reach_many,
     verify_theorem_1,
 )
+from orientprob.graphs import event_indicator_many
 
 
 class TestRandomGraph:
@@ -93,12 +95,16 @@ class TestGraphRecords:
         with pytest.raises(InputError, match="nonnegative"):
             RandomStream(-1)
         with pytest.raises(InputError, match="width"):
-            reach_many(triangle, np.zeros((2, 2), dtype=bool), 0)
+            reach_many(triangle, PackedBatch.pack(np.zeros((2, 2), dtype=bool)), 0)
 
-    @pytest.mark.parametrize("bits", [np.zeros(3, dtype=bool), np.zeros((2, 3)), [[True] * 3]])
-    def test_reach_many_takes_a_packed_batch_or_a_2d_bool_matrix(self, triangle, bits):
-        with pytest.raises(InputError, match="PackedBatch or a 2-d bool matrix"):
+    @pytest.mark.parametrize(
+        "bits", [np.zeros(3, dtype=bool), np.zeros((2, 3)), [[True] * 3], np.zeros((2, 3), dtype=bool)]
+    )
+    def test_reach_many_and_event_indicator_many_take_only_a_packed_batch(self, triangle, bits):
+        with pytest.raises(InputError, match="must be a PackedBatch"):
             reach_many(triangle, bits, 0)
+        with pytest.raises(InputError, match="must be a PackedBatch"):
+            event_indicator_many(triangle, bits, [EventExpr.connection(0, 1)])
 
 
 class TestSubsetDistribution:
