@@ -168,8 +168,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if not getattr(args, "tolerance", 0.0) >= 0.0:  # NaN fails every comparison
         raise InputError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     at_least_zero("seed", "trials")
-    if args.command == "verify-t2":  # both source-set counts, with the policy's messages
-        SourceSetPolicy("up_to_size", args.max_set_size, args.random_sets or 0)
+    if args.command == "verify-t2":  # the source-set count the run reads, with the policy's message
+        _source_policy(args)
     sampled = args.command in ("mc", "mc-slack", "grid-stats") or getattr(args, "mode", None) == "montecarlo"
     if sampled:
         slack = args.command in ("mc-slack", "verify-t1")  # batch means need two samples
@@ -264,11 +264,15 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
     return EXIT_OK if merged.ok else EXIT_VIOLATION
 
 
-def _cmd_verify_t2(args: argparse.Namespace) -> int:
+def _source_policy(args: argparse.Namespace) -> SourceSetPolicy:
+    """verify-t2's policy: --random-sets when given, else --max-set-size."""
     if args.random_sets is not None:
-        policy = SourceSetPolicy.random(args.random_sets, args.seed)
-    else:
-        policy = SourceSetPolicy.up_to_size(args.max_set_size)
+        return SourceSetPolicy.random(args.random_sets, args.seed)
+    return SourceSetPolicy.up_to_size(args.max_set_size)
+
+
+def _cmd_verify_t2(args: argparse.Namespace) -> int:
+    policy = _source_policy(args)
     graphs = _graphs_from_args(args, trials=args.trials)
     merged = merge_reports(
         verify_theorem_2(g, policy, args.tolerance, memo_cap=args.memo_cap) for g in graphs

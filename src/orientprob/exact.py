@@ -10,9 +10,10 @@ The recursion is memoized under a canonical key per subproblem (the
 sources, the target mask, and the sources together with the components of
 the rest that hold a target), so a subproblem met under different regions
 is expanded once, and subproblems that differ by a swap of twin vertices
-share one key (see ExactEngine). A batch of target sets for one source set
-(ExactEngine.probabilities) also keeps the frontier tables it builds for
-the length of the call, so the target sets share them.
+share one key (see ExactEngine). The engine also keeps, for its lifetime,
+each frontier table it builds (the law of the sources' out-neighbourhood in
+a component), keyed by the sources and that frontier, so every query of one
+engine shares them.
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`, as packed edge columns. The low edge columns
@@ -240,8 +241,8 @@ class ExactEngine:
     The same rest R = region - S comes back under many (region, S) pairs, so
     the engine keeps, for its lifetime, the component of R that holds the
     lowest pending target, keyed by (R, that target's bit). `memo_cap` bounds
-    this cache as it bounds the batch tables: it is emptied when its entries
-    reach the cap, and it never raises.
+    this cache as it bounds the frontier tables below: it is emptied when its
+    entries reach the cap, and it never raises.
 
     States are also taken up to twin swaps (see Graph.twin_classes): inside
     each class of more than one vertex, a state is moved to the image that
@@ -252,15 +253,17 @@ class ExactEngine:
     first members. On a graph whose classes are all singletons nothing of
     this runs, and every value is computed as without it.
 
-    `probabilities` asks for many target sets of one source set. For the
-    length of that call the engine keeps each frontier table it builds,
-    keyed by (component, sources), and by the targets in the component too
-    when there are twin classes, since the frontier groups split by target;
-    later target sets in the batch reuse them. The tables are dropped when
-    the call returns or raises, and emptied whenever their entries reach
-    memo_cap. The same tables are summed in the same order, so values,
-    `states_visited` and the memo are those of the same queries asked one
-    by one; a call with one target set keeps none.
+    A frontier table, the law of the sources' out-neighbourhood in a
+    component C, depends only on the sources S and their frontier
+    near = N(S) & C, and on the targets in the frontier too when there are
+    twin classes, since the frontier groups split by target. Many
+    components share one frontier, so the engine keeps each table for its
+    lifetime under (S, near) or (S, near, targets & near), across calls and
+    target sets; it also keeps N(S) per source mask. `memo_cap` bounds both
+    caches, the tables in table entries: each is emptied when a new entry
+    would take it past the cap, and neither raises. A table is the same
+    whichever component built it, so the caches change no value, no state
+    count and no memo entry.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -271,9 +274,13 @@ class ExactEngine:
         self.states_visited = 0
         self._full_mask = (1 << graph.vertex_count) - 1
         self._memo: dict[tuple[int, int, int], float] = {}
-        # frontier tables of the current probabilities() call, else None
-        self._tables: dict[tuple[int, ...], tuple[list[int], list[float]]] | None = None
+        # (S, near) or (S, near, targets in near) -> frontier table, for the
+        # engine's lifetime; emptied when its table entries would pass memo_cap
+        self._tables: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
         self._table_entries = 0
+        # S -> the union of its neighbor masks, for the engine's lifetime;
+        # emptied when it reaches memo_cap entries
+        self._near: dict[int, int] = {}
         # (rest, seed bit) -> the seed's component in rest, for the engine's
         # lifetime; emptied when it reaches memo_cap entries
         self._components: dict[tuple[int, int], int] = {}
@@ -310,9 +317,7 @@ class ExactEngine:
         within: Iterable[int] | None = None,
     ) -> list[float]:
         """Entry i is P(the sources reach every vertex of target_sets[i])
-        inside `within`; the target sets are evaluated in order and, when
-        there are several, share the frontier tables the call builds (see
-        the class docstring)."""
+        inside `within`; the target sets are evaluated in order."""
         src_mask = _vertex_mask(self.graph, _check_sources(self.graph, sources))
         masks = [_vertex_mask(self.graph, targets) for targets in target_sets]
         region = self._full_mask if within is None else _vertex_mask(self.graph, within)
@@ -324,9 +329,6 @@ class ExactEngine:
         """probabilities() on checked masks: the sources, each target set and
         a region that holds the sources. A target set less the sources is
         probed by its own key (region, S, T); _reach_all computes a miss."""
-        if len(masks) > 1:
-            self._tables = {}
-            self._table_entries = 0
         memo = self._memo
         values = []
         try:
@@ -342,8 +344,6 @@ class ExactEngine:
             raise ResourceLimitError(
                 f"recursion deeper than the interpreter stack limit ({sys.getrecursionlimit()} frames)"
             ) from None
-        finally:
-            self._tables = None
 
     def _component(self, remaining: int, seed_mask: int) -> int:
         """Undirected component of the seed vertices inside `remaining`."""
@@ -379,17 +379,26 @@ class ExactEngine:
         return region, src_mask, targets
 
     def _table(self, comp: int, src_mask: int, wanted: int) -> tuple[list[int], list[float]]:
-        """_subset_table of the frontier of the sources in `comp`, whose
-        targets are `wanted`; taken from and added to the batch's tables
-        while a probabilities() call runs. Twins are grouped by (first
+        """_subset_table of the frontier near = N(S) & comp of the sources in
+        `comp`, whose targets are `wanted`, kept under (S, near), or
+        (S, near, wanted & near) with twin classes (see the class
+        docstring): the vertices come in ascending order and their
+        probabilities from their edges to S. Twins are grouped by (first
         twin, side of the target set), in the order of first members."""
+        near = self._near.get(src_mask)
+        if near is None:
+            near = _neighbors_of(self.graph, src_mask)
+            if len(self._near) >= self.memo_cap:
+                self._near.clear()
+            else:
+                self._near[src_mask] = near
+        near &= comp
+        key = (src_mask, near, wanted & near) if self._classes else (src_mask, near)
         tables = self._tables
-        key = (comp, src_mask, wanted) if self._classes else (comp, src_mask)
-        if tables is not None:
-            table = tables.get(key)
-            if table is not None:
-                return table
-        vertices, probs = _frontier(self.graph, comp, src_mask)
+        table = tables.get(key)
+        if table is not None:
+            return table
+        vertices, probs = _frontier(self.graph, near, src_mask)
         if self._classes:
             groups: dict[tuple[int, int], tuple[float, list[int]]] = {}
             for v, p in zip(vertices, probs):
@@ -397,13 +406,13 @@ class ExactEngine:
             table = _subset_table([], [], groups.values())
         else:
             table = _subset_table(vertices, probs)  # every group a lone vertex
-        if tables is not None:
-            self._table_entries += len(table[0])
-            if self._table_entries >= self.memo_cap:
-                tables.clear()
-                self._table_entries = 0
-            else:
-                tables[key] = table
+        size = len(table[0])
+        if self._table_entries + size > self.memo_cap:
+            tables.clear()
+            self._table_entries = 0
+        else:
+            tables[key] = table
+            self._table_entries += size
         return table
 
     def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
@@ -482,6 +491,18 @@ def _vertex_mask(graph: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
+def _neighbors_of(graph: Graph, src_mask: int) -> int:
+    """Mask of every neighbor of the sources, sources included when they
+    neighbor each other."""
+    nbr = graph.neighbor_masks
+    near = 0
+    while src_mask:
+        low = src_mask & -src_mask
+        src_mask ^= low
+        near |= nbr[low.bit_length() - 1]
+    return near
+
+
 def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], list[float]]:
     """Neighbors of the sources inside `remaining` but outside the sources,
     in increasing order, with their probabilities of receiving an edge
@@ -493,13 +514,7 @@ def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], l
     """
     nbr = graph.neighbor_masks
     arcs = graph.arc_probabilities
-    near = 0
-    s = src_mask
-    while s:
-        low = s & -s
-        s ^= low
-        near |= nbr[low.bit_length() - 1]
-    near &= remaining & ~src_mask
+    near = _neighbors_of(graph, src_mask) & remaining & ~src_mask
     vertices: list[int] = []
     probs: list[float] = []
     while near:

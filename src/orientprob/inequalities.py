@@ -286,9 +286,11 @@ def _verify_triples_exact(
     with a and b outside S are ranked: the others have slack 0 exactly."""
     engine = ExactEngine(graph, memo_cap)
     n = graph.vertex_count
-    target_sets = [(t,) for t in range(n)] + [(a, b) for a in range(n) for b in range(n)]
+    full = (1 << n) - 1
+    bits = [1 << t for t in range(n)]
+    target_masks = bits + [a | b for a in bits for b in bits]  # every vertex, checked once
     for src in source_sets:
-        values = np.array(engine.probabilities(src, target_sets))
+        values = np.array(engine._batch(_vertex_mask(graph, _check_sources(graph, src)), target_masks, full))
         p, joint = values[:n], values[n:].reshape(n, n)
         slack = joint - p[:, None] * p[None, :]
         yield _slack_block(

@@ -666,7 +666,7 @@ def _flag_rule_cases():
         "mc": ["--samples 0", "--streams 0"],
         "mc-slack": ["--samples 1", "--streams 0"],
         "verify-t1": ["--samples 1", "--streams 0", "--memo-cap -1", "--tolerance nan", "--trials -1"],
-        "verify-t2": ["--trials -1", "--max-set-size -1", "--random-sets -1", "--tolerance nan"],
+        "verify-t2": ["--trials -1", "--random-sets -1", "--tolerance nan"],  # --max-set-size is unread here
         "fourfunc": ["--tolerance nan"],
         "mcdiarmid": ["--enum-cap -1", "--tolerance nan"],
         "alm-linusson": ["--samples 0", "--streams 0", "--enum-cap -1"],
@@ -713,8 +713,7 @@ class TestFlagRules:
         ("alm-linusson --n 4 --mode montecarlo --samples 0", 3, "input error: samples must be >= 1"),
         ("verify-t2 --complete 4 --random-sets -1", 3,
          "input error: random source set count must be >= 0, got -1"),
-        ("verify-t2 --complete 4 --random-sets 2 --max-set-size -1 --seed 1", 3,
-         "input error: maximum source set size must be >= 0, got -1"),
+        ("verify-t2 --complete 4 --max-set-size -1", 3, "input error: maximum source set size must be >= 0, got -1"),
         ("exact --random n=4,m=3 --seed -1 --source 0 --target 1", 3, "input error: --seed must be >= 0, got -1"),
         ("mc --random n=5,m=4 --source 0 --target 1 --samples 10 --seed -1", 3,
          "input error: --seed must be >= 0, got -1"),
@@ -729,6 +728,8 @@ class TestFlagRules:
         ("alm-linusson --n 4 --samples 0", 2, "usage error: --samples applies to --mode montecarlo only"),
         ("alm-linusson --n 4 --streams 0", 2, "usage error: --streams applies to --mode montecarlo only"),
         ("verify-t2 --complete 4 --random-sets 2 --max-set-size 5 --seed 1", 2,
+         "usage error: --max-set-size does not apply with --random-sets"),
+        ("verify-t2 --complete 4 --random-sets 2 --max-set-size -1 --seed 1", 2,
          "usage error: --max-set-size does not apply with --random-sets"),
     ])
     def test_announced_outcomes(self, capsys, tmp_path, monkeypatch, argv, code, message):

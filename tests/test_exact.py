@@ -388,7 +388,7 @@ def _batch_queries(graph, rng):
 
 def _one_by_one(engine, src, target_sets, within):
     """Each target set asked alone: connection and joint where they apply,
-    else a probabilities call with that one set, which keeps no tables."""
+    else a probabilities call with that one set."""
     values = []
     for ts in target_sets:
         if len(ts) == 1:
@@ -400,9 +400,17 @@ def _one_by_one(engine, src, target_sets, within):
     return values
 
 
+def _assert_tables_within_the_cap(engine):
+    """The engine's count of table entries is the size of the tables it
+    holds, and within memo_cap."""
+    held = sum(len(masks) for masks, _ in engine._tables.values())
+    assert engine._table_entries == held <= engine.memo_cap
+
+
 class TestBatch:
-    """probabilities() shares frontier tables inside one call only, and
-    changes no value, no state count and no memo entry."""
+    """probabilities() changes no value, no state count and no memo entry
+    against the same target sets asked one by one; the frontier tables are
+    the engine's, kept across calls within memo_cap."""
 
     def test_batch_is_bit_identical_to_single_queries(self):
         rng = random.Random(5)
@@ -410,7 +418,7 @@ class TestBatch:
             batched, single = ExactEngine(graph), ExactEngine(graph)
             for src, target_sets, within in _batch_queries(graph, rng):
                 values = batched.probabilities(src, target_sets, within=within)
-                assert batched._tables is None
+                _assert_tables_within_the_cap(batched)
                 assert values == _one_by_one(single, src, target_sets, within)
                 assert batched.states_visited == single.states_visited
                 assert list(batched._memo.items()) == list(single._memo.items())
@@ -426,27 +434,15 @@ class TestBatch:
         ):
             with pytest.raises(InputError):
                 engine.probabilities(sources, target_sets, within=within)
-        assert engine._tables is None and not engine._memo
+        assert not engine._tables and not engine._memo
         assert engine.probabilities(0, []) == []
 
-    def test_one_target_set_keeps_no_tables(self):
+    def test_one_target_set_keeps_the_tables_of_single_queries(self):
         # connection, joint and one-set probabilities calls, asked in the same
-        # order of two engines, store no table and agree bit for bit
+        # order of two engines, agree bit for bit and keep the same tables
         rng = random.Random(6)
-        tables_absent = []
-
-        def watched(engine):
-            build = engine._table
-
-            def table(*args):
-                tables_absent.append(engine._tables is None)
-                return build(*args)
-
-            engine._table = table
-            return engine
-
         for graph in _batch_corpus():
-            single, one_set = watched(ExactEngine(graph)), watched(ExactEngine(graph))
+            single, one_set = ExactEngine(graph), ExactEngine(graph)
             for src, target_sets, within in _batch_queries(graph, rng):
                 for ts in target_sets:
                     if len(ts) == 1:
@@ -458,16 +454,19 @@ class TestBatch:
                     assert one_set.probabilities(src, [ts], within=within) == [value]
                     assert one_set.states_visited == single.states_visited
                 assert list(one_set._memo.items()) == list(single._memo.items())
-        assert tables_absent and all(tables_absent)
+                assert list(one_set._tables.items()) == list(single._tables.items())
+                _assert_tables_within_the_cap(one_set)
+            assert single._tables or not single.states_visited
 
-    def test_no_tables_after_a_memo_cap(self):
+    def test_tables_within_a_memo_cap_that_raised(self):
         g = build_grid(GridSpec(3, 3, 0.6)).graph
         engine = ExactEngine(g, 20)
         with pytest.raises(ResourceLimitError, match="memo"):
             engine.probabilities([0], [(t,) for t in range(9)])
-        assert engine._tables is None
+        assert engine._tables
+        _assert_tables_within_the_cap(engine)
 
-    def test_no_tables_after_the_depth_limit(self):
+    def test_tables_within_the_cap_after_the_depth_limit(self):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(500)
         try:
@@ -476,7 +475,8 @@ class TestBatch:
                 engine.probabilities([0], [(1,), (599,)])
         finally:
             sys.setrecursionlimit(limit)
-        assert engine._tables is None
+        assert engine._tables
+        _assert_tables_within_the_cap(engine)
 
 
 class TestPinnedStates:
@@ -751,17 +751,64 @@ def test_every_cached_component_equals_a_fresh_search(data):
         assert comp == engine._component(rest, seed)
 
 
-class _WatchedCache(dict):
-    """A dict that records its largest size and how often it was emptied."""
+def _table_from_frontier(engine, comp, src_mask, wanted):
+    """(key, table) for the frontier of the sources in comp, built afresh:
+    _subset_table of _frontier, its twins grouped by (first twin, side of
+    the target set) when the graph has twin classes."""
+    vertices, probs = _frontier(engine.graph, comp, src_mask)
+    near = sum(1 << v for v in vertices)
+    if not engine._classes:
+        return (src_mask, near), exact._subset_table(vertices, probs)
+    groups = {}
+    for v, p in zip(vertices, probs):
+        groups.setdefault((engine._leader[v], wanted >> v & 1), (p, []))[1].append(v)
+    return (src_mask, near, wanted & near), exact._subset_table([], [], groups.values())
 
-    def __init__(self):
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.sampled_from(list(_batch_corpus())) | planted_twin_graph().map(lambda planted: planted[0]),
+    data=st.data(),
+)
+def test_every_stored_table_equals_a_fresh_build_for_each_component_of_its_key(g, data):
+    vertex = st.integers(0, g.vertex_count - 1)
+    engine = ExactEngine(g)
+    asked = []
+    build = engine._table
+
+    def table(comp, src_mask, wanted):
+        asked.append((comp, src_mask, wanted))
+        return build(comp, src_mask, wanted)
+
+    engine._table = table
+    for _ in range(3):
+        src = data.draw(st.sets(vertex, min_size=1, max_size=3))
+        targets = data.draw(st.lists(st.lists(vertex, max_size=3), min_size=1, max_size=4))
+        within = data.draw(st.none() | st.sets(vertex).map(lambda w: w | src))
+        engine.probabilities(src, targets, within=within)
+    keys = set()
+    for comp, src_mask, wanted in asked:
+        key, (masks, masses) = _table_from_frontier(engine, comp, src_mask, wanted)
+        stored_masks, stored_masses = engine._tables[key]  # nothing is emptied below the default cap
+        assert stored_masks == masks
+        assert [m.hex() for m in stored_masses] == [m.hex() for m in masses]  # bit for bit
+        keys.add(key)
+    assert keys == set(engine._tables)
+
+
+class _WatchedCache(dict):
+    """A dict that records its largest size, the sum of `weight` over its
+    values, and how often it was emptied."""
+
+    def __init__(self, weight=lambda value: 1):
         super().__init__()
+        self.weight = weight
         self.peak = 0
         self.clears = 0
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
+        self.peak = max(self.peak, sum(map(self.weight, self.values())))
 
     def clear(self):
         self.clears += 1
@@ -779,6 +826,9 @@ def _spider(legs, length):
             prev, nxt = nxt, nxt + 1
         ends.append(prev)
     return make_graph(nxt, edges), ends
+
+
+_SPIDER = _spider(6, 3)
 
 
 class TestComponentCache:
@@ -808,6 +858,37 @@ class TestComponentCache:
         with pytest.raises(ResourceLimitError, match="memo"):
             engine.joint([0], 8, 2)
         assert not engine._components
+
+
+class TestTableCache:
+    """The engine's frontier tables are bounded by memo_cap in table
+    entries, emptied when a new table would take them past it, and change
+    no value, no state count and no memo entry."""
+
+    @pytest.mark.parametrize("graph, sources, target_sets", [
+        (_SPIDER[0], [0], [tuple(_SPIDER[1])]),  # a lone vertex in each table
+        (complete_graph(6, 0.5), [0], [(1, 2), (3,)]),  # one twin class
+    ], ids=["spider", "K6"])
+    def test_a_tight_cap_reports_as_the_default(self, graph, sources, target_sets):
+        default = ExactEngine(graph)
+        values = default.probabilities(sources, target_sets)
+        entries = len(default._memo)
+        assert default._table_entries > entries
+        for cap in range(entries, default._table_entries + 2):
+            engine = ExactEngine(graph, cap)
+            engine._tables = watched = _WatchedCache(lambda table: len(table[0]))
+            assert engine.probabilities(sources, target_sets) == values
+            assert engine.states_visited == default.states_visited
+            assert list(engine._memo.items()) == list(default._memo.items())
+            assert watched.peak <= cap
+            assert (watched.clears > 0) == (cap < default._table_entries)
+            _assert_tables_within_the_cap(engine)
+
+    def test_a_cap_of_zero_keeps_no_table(self):
+        engine = ExactEngine(build_grid(GridSpec(3, 3, 0.6)).graph, 0)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            engine.joint([0], 8, 2)
+        assert not engine._tables and not engine._table_entries and not engine._near
 
 
 class TestNegativeCaps:

@@ -245,7 +245,7 @@ class TestTheoremSweeps:
     def test_sweep_within_a_tight_memo_cap_reports_as_with_the_default(self, monkeypatch):
         # K10 oriented low to high but for two fair coins: the first frontier
         # table of a source set has up to 2^9 entries, more than the sweep's
-        # whole memo, so under a cap of that memo's size the batch's tables
+        # whole memo, so under a cap of that memo's size the engine's tables
         # are emptied and rebuilt
         n = 10
         coins = {(2, 5), (6, 8)}
