@@ -172,7 +172,7 @@ def _check_args(args: argparse.Namespace) -> None:
         _source_policy(args)
     sampled = args.command in ("mc", "mc-slack", "grid-stats") or getattr(args, "mode", None) == "montecarlo"
     if sampled:
-        slack = args.command in ("mc-slack", "verify-t1")  # batch means need two samples
+        slack = args.command in ("mc-slack", "verify-t1", "alm-linusson")  # batch means need two samples
         _check_sample_counts(args.samples, args.streams, minimum=2 if slack else 1)
     if args.command == "witness" and args.budget < 1:
         raise InputError("budget must be >= 1")

@@ -10,10 +10,8 @@ The recursion is memoized under a canonical key per subproblem (the
 sources, the target mask, and the sources together with the components of
 the rest that hold a target), so a subproblem met under different regions
 is expanded once, and subproblems that differ by a swap of twin vertices
-share one key (see ExactEngine). The engine also keeps, for its lifetime,
-each frontier table it builds (the law of the sources' out-neighbourhood in
-a component), keyed by the sources and that frontier, so every query of one
-engine shares them.
+share one key (see ExactEngine). The engine also keeps three caches for its
+lifetime, components, N(S) and frontier tables, each emptied when full.
 
 Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
 bit-sliced kernel `reach_many`, as packed edge columns. The low edge columns
@@ -90,6 +88,8 @@ class SubsetDistribution:
         pos = {v: j for j, v in enumerate(self.ground)}
         mask = 0
         for v in vertices:
+            if v not in pos:
+                raise InputError(f"vertex {v} is not in the ground set {self.ground}")
             mask |= 1 << pos[v]
         return mask
 
@@ -212,6 +212,27 @@ def _accumulate_row_masses(rows: PackedBatch, weights: np.ndarray, acc: dict[int
         acc[mask] = acc.get(mask, 0.0) + s
 
 
+class _Bounded:
+    """A cache in the plain dict `held`, whose values weigh `weight` in
+    total, at most `cap`: a value that would take the weight past the cap
+    empties the cache and is not kept. It holds only what can be computed
+    again, so it never raises. Callers read `held` directly, as a hit on a
+    dict subclass costs more."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.weight = 0
+        self.held: dict = {}
+
+    def keep(self, key, value, weight: int = 1) -> None:
+        if self.weight + weight > self.cap:
+            self.held.clear()
+            self.weight = 0
+        else:
+            self.held[key] = value
+            self.weight += weight
+
+
 class ExactEngine:
     """Memoized recursive evaluator for connection probabilities.
 
@@ -235,14 +256,7 @@ class ExactEngine:
     looks its children up by (C, X, T & C - X): C is connected and X is a
     nonempty part of it, so the child key needs no search of the graph, and
     a repeated child costs one dict probe. `states_visited` counts the
-    subproblems expanded; `memo_cap` bounds the memo entries, aliases
-    included, and a negative cap raises InputError.
-
-    The same rest R = region - S comes back under many (region, S) pairs, so
-    the engine keeps, for its lifetime, the component of R that holds the
-    lowest pending target, keyed by (R, that target's bit). `memo_cap` bounds
-    this cache as it bounds the frontier tables below: it is emptied when its
-    entries reach the cap, and it never raises.
+    subproblems expanded.
 
     States are also taken up to twin swaps (see Graph.twin_classes): inside
     each class of more than one vertex, a state is moved to the image that
@@ -253,17 +267,17 @@ class ExactEngine:
     first members. On a graph whose classes are all singletons nothing of
     this runs, and every value is computed as without it.
 
-    A frontier table, the law of the sources' out-neighbourhood in a
-    component C, depends only on the sources S and their frontier
-    near = N(S) & C, and on the targets in the frontier too when there are
-    twin classes, since the frontier groups split by target. Many
-    components share one frontier, so the engine keeps each table for its
-    lifetime under (S, near) or (S, near, targets & near), across calls and
-    target sets; it also keeps N(S) per source mask. `memo_cap` bounds both
-    caches, the tables in table entries: each is emptied when a new entry
-    would take it past the cap, and neither raises. A table is the same
-    whichever component built it, so the caches change no value, no state
-    count and no memo entry.
+    Three caches live as long as the engine: the component of R = region - S
+    that holds the lowest pending target, keyed by (R, that target's bit);
+    N(S) per source mask; and the frontier table of the sources in a
+    component C, keyed by S and near = N(S) & C (and the targets in near
+    when there are twin classes, since the frontier groups split by target).
+
+    `memo_cap` bounds the memo in entries, aliases included: a store past it
+    raises ResourceLimitError. It bounds each cache too, the tables in table
+    entries, but a cache is emptied instead (see _Bounded), which changes no
+    value, no state count and no memo entry. A negative cap raises
+    InputError.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -274,16 +288,9 @@ class ExactEngine:
         self.states_visited = 0
         self._full_mask = (1 << graph.vertex_count) - 1
         self._memo: dict[tuple[int, int, int], float] = {}
-        # (S, near) or (S, near, targets in near) -> frontier table, for the
-        # engine's lifetime; emptied when its table entries would pass memo_cap
-        self._tables: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
-        self._table_entries = 0
-        # S -> the union of its neighbor masks, for the engine's lifetime;
-        # emptied when it reaches memo_cap entries
-        self._near: dict[int, int] = {}
-        # (rest, seed bit) -> the seed's component in rest, for the engine's
-        # lifetime; emptied when it reaches memo_cap entries
-        self._components: dict[tuple[int, int], int] = {}
+        self._components = _Bounded(memo_cap)  # (rest, seed bit) -> the seed's component in rest
+        self._near = _Bounded(memo_cap)  # S -> the union of its neighbor masks
+        self._tables = _Bounded(memo_cap)  # (S, near) or (S, near, targets in near) -> frontier table
         # per twin class of more than one vertex: its mask and the masks of
         # its first k members, k = 0..size; and each vertex's first twin
         self._classes: list[tuple[int, list[int]]] = []
@@ -361,11 +368,6 @@ class ExactEngine:
             comp |= frontier
         return comp
 
-    def _memo_full(self) -> None:
-        """Raise for a store that would take the memo past memo_cap entries,
-        aliases included."""
-        raise ResourceLimitError(f"memo table reached {len(self._memo)} entries, cap {self.memo_cap}")
-
     def _canonical(self, region: int, src_mask: int, targets: int) -> tuple[int, int, int]:
         """The twin-swap image of (region, S, T) in which each nontrivial twin
         class lists its sources first, then its targets, then the rest of
@@ -385,17 +387,13 @@ class ExactEngine:
         docstring): the vertices come in ascending order and their
         probabilities from their edges to S. Twins are grouped by (first
         twin, side of the target set), in the order of first members."""
-        near = self._near.get(src_mask)
+        near = self._near.held.get(src_mask)
         if near is None:
             near = _neighbors_of(self.graph, src_mask)
-            if len(self._near) >= self.memo_cap:
-                self._near.clear()
-            else:
-                self._near[src_mask] = near
+            self._near.keep(src_mask, near)
         near &= comp
         key = (src_mask, near, wanted & near) if self._classes else (src_mask, near)
-        tables = self._tables
-        table = tables.get(key)
+        table = self._tables.held.get(key)
         if table is not None:
             return table
         vertices, probs = _frontier(self.graph, near, src_mask)
@@ -406,13 +404,7 @@ class ExactEngine:
             table = _subset_table([], [], groups.values())
         else:
             table = _subset_table(vertices, probs)  # every group a lone vertex
-        size = len(table[0])
-        if self._table_entries + size > self.memo_cap:
-            tables.clear()
-            self._table_entries = 0
-        else:
-            tables[key] = table
-            self._table_entries += size
+        self._tables.keep(key, table, len(table[0]))
         return table
 
     def _reach_all(self, region: int, src_mask: int, targets: int) -> float:
@@ -432,7 +424,7 @@ class ExactEngine:
         if self._classes:
             region, src_mask, targets = self._canonical(region, src_mask, targets)
         rest = region & ~src_mask
-        found = self._components
+        found = self._components.held
         comps: list[int] = []
         covered = src_mask
         pending = targets
@@ -441,10 +433,7 @@ class ExactEngine:
             comp = found.get(key)
             if comp is None:
                 comp = self._component(*key)
-                if len(found) >= self.memo_cap:
-                    found.clear()
-                else:
-                    found[key] = comp
+                self._components.keep(key, comp)
             pending &= ~comp
             comps.append(comp)
             covered |= comp
@@ -473,13 +462,13 @@ class ExactEngine:
                 total *= part
                 if not total:
                     break
+            stores = (canonical,) if probe == canonical else (canonical, probe)
+        else:
+            stores = (probe,)  # the memo missed the probe, so it is not the canonical key
+        for key in stores:
             if len(memo) >= self.memo_cap:
-                self._memo_full()
-            memo[canonical] = total
-        if probe != canonical:
-            if len(memo) >= self.memo_cap:
-                self._memo_full()
-            memo[probe] = total
+                raise ResourceLimitError(f"memo table reached {len(memo)} entries, cap {self.memo_cap}")
+            memo[key] = total
         return total
 
 
@@ -503,9 +492,9 @@ def _neighbors_of(graph: Graph, src_mask: int) -> int:
     return near
 
 
-def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], list[float]]:
-    """Neighbors of the sources inside `remaining` but outside the sources,
-    in increasing order, with their probabilities of receiving an edge
+def _frontier(graph: Graph, near: int, src_mask: int) -> tuple[list[int], list[float]]:
+    """The vertices of `near`, neighbors of the sources outside them, in
+    increasing order, with their probabilities of receiving an edge
     oriented out of the sources.
 
     For each neighbor v, 1 minus the product over S-v edges of the
@@ -514,7 +503,6 @@ def _frontier(graph: Graph, remaining: int, src_mask: int) -> tuple[list[int], l
     """
     nbr = graph.neighbor_masks
     arcs = graph.arc_probabilities
-    near = _neighbors_of(graph, src_mask) & remaining & ~src_mask
     vertices: list[int] = []
     probs: list[float] = []
     while near:
@@ -576,8 +564,8 @@ def out_neighborhood_distribution(graph: Graph, sources: Iterable[int] | int) ->
     """Law of the set of outside vertices receiving an edge oriented out of
     the sources. Each outside neighbor v is included independently with its
     own probability, so the mass is a product over the ground set."""
-    src = _check_sources(graph, sources)
-    ground, probs = _frontier(graph, (1 << graph.vertex_count) - 1, _vertex_mask(graph, src))
+    src_mask = _vertex_mask(graph, _check_sources(graph, sources))
+    ground, probs = _frontier(graph, _neighbors_of(graph, src_mask) & ~src_mask, src_mask)
     _, masses = _subset_table(ground, probs)
     return SubsetDistribution(tuple(ground), dict(enumerate(masses)))
 

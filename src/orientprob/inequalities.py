@@ -35,6 +35,7 @@ from .exact import (
     SubsetDistribution,
     _enumerated_law,
     _frontier,
+    _neighbors_of,
     _subset_table,
     _vertex_mask,
     brute_force_prob,
@@ -193,7 +194,7 @@ def build_proof_quadruple(
         raise InputError("targets must lie outside the source set")
     src_mask = _vertex_mask(graph, src)
     rest = ((1 << graph.vertex_count) - 1) & ~src_mask
-    ground, probs = _frontier(graph, rest, src_mask)
+    ground, probs = _frontier(graph, _neighbors_of(graph, src_mask) & rest, src_mask)
     if len(ground) > _FOUR_FUNCTION_CHECK_CAP:  # before 2^g subsets are built and queried
         raise ResourceLimitError(f"ground set of size {len(ground)} exceeds check cap {_FOUR_FUNCTION_CHECK_CAP}")
     masks, masses = _subset_table(ground, probs)
@@ -408,6 +409,7 @@ def alm_linusson_covariance(
         p_ab = brute_force_prob(graph, ev_a & ev_b, enum_cap).probability
         return AlmLinussonResult(n, p_ab - p_a * p_b, p_a, p_b, p_ab, "exact")
     if mode == "montecarlo":
+        _check_sample_counts(samples, streams, minimum=2)
         cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
         ca, cb = cols[:, 0], cols[:, 1]
         p_a = int(ca.sum()) / samples

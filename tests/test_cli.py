@@ -669,7 +669,7 @@ def _flag_rule_cases():
         "verify-t2": ["--trials -1", "--random-sets -1", "--tolerance nan"],  # --max-set-size is unread here
         "fourfunc": ["--tolerance nan"],
         "mcdiarmid": ["--enum-cap -1", "--tolerance nan"],
-        "alm-linusson": ["--samples 0", "--streams 0", "--enum-cap -1"],
+        "alm-linusson": ["--samples 0", "--samples 1", "--streams 0", "--enum-cap -1"],
         "grid-stats": ["--samples 0", "--streams 0"],
         "witness": ["--budget 0"],
     }
@@ -710,7 +710,8 @@ class TestFlagRules:
         ("exact --random n=x,m=3 --source 0 --target 1", 2, "usage error: --random requires --seed"),
         ("verify-t1 --random n=4,m=4", 2, "usage error: --random requires --seed"),
         ("witness --grid 4x4 --a 0,0 --b 1,1 --budget 0", 3, "input error: budget must be >= 1"),
-        ("alm-linusson --n 4 --mode montecarlo --samples 0", 3, "input error: samples must be >= 1"),
+        ("alm-linusson --n 4 --mode montecarlo --samples 0", 3, "input error: samples must be >= 2"),
+        ("alm-linusson --n 4 --mode montecarlo --samples 1", 3, "input error: samples must be >= 2"),
         ("verify-t2 --complete 4 --random-sets -1", 3,
          "input error: random source set count must be >= 0, got -1"),
         ("verify-t2 --complete 4 --max-set-size -1", 3, "input error: maximum source set size must be >= 0, got -1"),

@@ -29,7 +29,7 @@ from orientprob import (
     reachable_set_distribution,
 )
 from orientprob import exact
-from orientprob.exact import _accumulate_row_masses, _enumeration_chunks, _frontier
+from orientprob.exact import _accumulate_row_masses, _enumeration_chunks, _frontier, _neighbors_of
 from orientprob.graphs import PackedBatch
 from conftest import oracle_event_prob
 
@@ -249,7 +249,7 @@ class TestOutNeighborhood:
         for i in range(5):
             g = random_graph(7, edge_count=12, biases="uniform", seed=43, index=i)
             d = out_neighborhood_distribution(g, {0, 1})
-            ground, pv = _frontier(g, (1 << 7) - 1, 0b11)
+            ground, pv = _frontier(g, _neighbors_of(g, 0b11) & ~0b11, 0b11)
             assert d.ground == tuple(ground)
             expected = {}
             for xbits in range(1 << len(pv)):
@@ -401,10 +401,10 @@ def _one_by_one(engine, src, target_sets, within):
 
 
 def _assert_tables_within_the_cap(engine):
-    """The engine's count of table entries is the size of the tables it
+    """The weight of the engine's table cache is the size of the tables it
     holds, and within memo_cap."""
-    held = sum(len(masks) for masks, _ in engine._tables.values())
-    assert engine._table_entries == held <= engine.memo_cap
+    held = sum(len(masks) for masks, _ in engine._tables.held.values())
+    assert engine._tables.weight == held <= engine._tables.cap == engine.memo_cap
 
 
 class TestBatch:
@@ -434,7 +434,7 @@ class TestBatch:
         ):
             with pytest.raises(InputError):
                 engine.probabilities(sources, target_sets, within=within)
-        assert not engine._tables and not engine._memo
+        assert not engine._tables.held and not engine._memo
         assert engine.probabilities(0, []) == []
 
     def test_one_target_set_keeps_the_tables_of_single_queries(self):
@@ -454,16 +454,16 @@ class TestBatch:
                     assert one_set.probabilities(src, [ts], within=within) == [value]
                     assert one_set.states_visited == single.states_visited
                 assert list(one_set._memo.items()) == list(single._memo.items())
-                assert list(one_set._tables.items()) == list(single._tables.items())
+                assert list(one_set._tables.held.items()) == list(single._tables.held.items())
                 _assert_tables_within_the_cap(one_set)
-            assert single._tables or not single.states_visited
+            assert single._tables.held or not single.states_visited
 
     def test_tables_within_a_memo_cap_that_raised(self):
         g = build_grid(GridSpec(3, 3, 0.6)).graph
         engine = ExactEngine(g, 20)
         with pytest.raises(ResourceLimitError, match="memo"):
             engine.probabilities([0], [(t,) for t in range(9)])
-        assert engine._tables
+        assert engine._tables.held
         _assert_tables_within_the_cap(engine)
 
     def test_tables_within_the_cap_after_the_depth_limit(self):
@@ -475,7 +475,7 @@ class TestBatch:
                 engine.probabilities([0], [(1,), (599,)])
         finally:
             sys.setrecursionlimit(limit)
-        assert engine._tables
+        assert engine._tables.held
         _assert_tables_within_the_cap(engine)
 
 
@@ -660,7 +660,7 @@ def _frontier_by_source(graph, remaining, src_mask):
 
 
 def _assert_frontier_matches_the_per_source_loop(g, remaining, src_mask):
-    vertices, probs = _frontier(g, remaining, src_mask)
+    vertices, probs = _frontier(g, _neighbors_of(g, src_mask) & remaining & ~src_mask, src_mask)
     expected_vertices, expected_probs = _frontier_by_source(g, remaining, src_mask)
     assert vertices == expected_vertices
     assert [p.hex() for p in probs] == [p.hex() for p in expected_probs]  # bit for bit
@@ -745,8 +745,8 @@ def test_every_cached_component_equals_a_fresh_search(data):
         src = data.draw(st.sets(vertex, min_size=1, max_size=3))
         targets = data.draw(st.lists(st.lists(vertex, max_size=3), min_size=1, max_size=4))
         engine.probabilities(src, targets)
-    assert engine._components or not engine.states_visited
-    for (rest, seed), comp in engine._components.items():
+    assert engine._components.held or not engine.states_visited
+    for (rest, seed), comp in engine._components.held.items():
         assert seed.bit_count() == 1 and seed & comp and not comp & ~rest
         assert comp == engine._component(rest, seed)
 
@@ -755,8 +755,8 @@ def _table_from_frontier(engine, comp, src_mask, wanted):
     """(key, table) for the frontier of the sources in comp, built afresh:
     _subset_table of _frontier, its twins grouped by (first twin, side of
     the target set) when the graph has twin classes."""
-    vertices, probs = _frontier(engine.graph, comp, src_mask)
-    near = sum(1 << v for v in vertices)
+    near = _neighbors_of(engine.graph, src_mask) & comp & ~src_mask
+    vertices, probs = _frontier(engine.graph, near, src_mask)
     if not engine._classes:
         return (src_mask, near), exact._subset_table(vertices, probs)
     groups = {}
@@ -789,30 +789,32 @@ def test_every_stored_table_equals_a_fresh_build_for_each_component_of_its_key(g
     keys = set()
     for comp, src_mask, wanted in asked:
         key, (masks, masses) = _table_from_frontier(engine, comp, src_mask, wanted)
-        stored_masks, stored_masses = engine._tables[key]  # nothing is emptied below the default cap
+        stored_masks, stored_masses = engine._tables.held[key]  # nothing is emptied below the default cap
         assert stored_masks == masks
         assert [m.hex() for m in stored_masses] == [m.hex() for m in masses]  # bit for bit
         keys.add(key)
-    assert keys == set(engine._tables)
+    assert keys == set(engine._tables.held)
 
 
-class _WatchedCache(dict):
-    """A dict that records its largest size, the sum of `weight` over its
-    values, and how often it was emptied."""
+class _WatchedCache(exact._Bounded):
+    """A bounded cache that records its largest weight and, in its dict, how
+    often it was emptied."""
 
-    def __init__(self, weight=lambda value: 1):
-        super().__init__()
-        self.weight = weight
+    class _Held(dict):
+        clears = 0
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.held = self._Held()
         self.peak = 0
-        self.clears = 0
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, sum(map(self.weight, self.values())))
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
+    def keep(self, key, value, weight=1):
+        super().keep(key, value, weight)
+        self.peak = max(self.peak, self.weight)
 
 
 def _spider(legs, length):
@@ -831,64 +833,59 @@ def _spider(legs, length):
 _SPIDER = _spider(6, 3)
 
 
-class TestComponentCache:
-    """The engine's cache of components is bounded by memo_cap, emptied when
-    it reaches the cap, and changes no value and no state count."""
+class TestCacheBounds:
+    """Each of the engine's caches (components, N(S), frontier tables) is
+    bounded by memo_cap in weight, the tables weighing their entries; it is
+    emptied when a new value would take it past the cap, and changes no
+    value, no state count and no memo entry."""
 
-    def test_a_tight_cap_reports_as_the_default(self):
-        # all six leg ends as one target set: the first state splits into six
-        # components and the memo stays small, so the cache outgrows a cap
-        # that the memo fits in
-        g, ends = _spider(6, 3)
-        default = ExactEngine(g)
-        values = default.probabilities([0], [tuple(ends)])
-        entries = len(default._memo)
-        assert len(default._components) > entries
-        for cap in range(entries, len(default._components) + 2):
-            engine = ExactEngine(g, cap)
-            engine._components = watched = _WatchedCache()
-            assert engine.probabilities([0], [tuple(ends)]) == values
-            assert engine.states_visited == default.states_visited
-            assert list(engine._memo.items()) == list(default._memo.items())
-            assert watched.peak <= cap
-            assert (watched.clears > 0) == (cap < len(default._components))
-
-    def test_a_cap_of_zero_keeps_no_component(self):
-        engine = ExactEngine(build_grid(GridSpec(3, 3, 0.6)).graph, 0)
-        with pytest.raises(ResourceLimitError, match="memo"):
-            engine.joint([0], 8, 2)
-        assert not engine._components
-
-
-class TestTableCache:
-    """The engine's frontier tables are bounded by memo_cap in table
-    entries, emptied when a new table would take them past it, and change
-    no value, no state count and no memo entry."""
-
+    @pytest.mark.parametrize("cache", ["_components", "_near", "_tables"])
     @pytest.mark.parametrize("graph, sources, target_sets", [
-        (_SPIDER[0], [0], [tuple(_SPIDER[1])]),  # a lone vertex in each table
+        (_SPIDER[0], [0], [tuple(_SPIDER[1])]),  # six components at the first state, lone vertices in each table
         (complete_graph(6, 0.5), [0], [(1, 2), (3,)]),  # one twin class
     ], ids=["spider", "K6"])
-    def test_a_tight_cap_reports_as_the_default(self, graph, sources, target_sets):
+    def test_a_tight_cap_reports_as_the_default(self, cache, graph, sources, target_sets):
+        # each cache gets its own cap, down to 0, under the default memo cap:
+        # through memo_cap alone N(S) is never emptied in a run the memo fits,
+        # as it holds at most one entry per expanded state
         default = ExactEngine(graph)
         values = default.probabilities(sources, target_sets)
-        entries = len(default._memo)
-        assert default._table_entries > entries
-        for cap in range(entries, default._table_entries + 2):
-            engine = ExactEngine(graph, cap)
-            engine._tables = watched = _WatchedCache(lambda table: len(table[0]))
+        uncapped = getattr(default, cache).weight
+        assert uncapped > 0
+        for cap in range(uncapped + 2):
+            engine = ExactEngine(graph)
+            watched = _WatchedCache(cap)
+            setattr(engine, cache, watched)
             assert engine.probabilities(sources, target_sets) == values
             assert engine.states_visited == default.states_visited
             assert list(engine._memo.items()) == list(default._memo.items())
+            held = watched.held.values()
+            assert watched.weight == (sum(len(masks) for masks, _ in held) if cache == "_tables" else len(held))
             assert watched.peak <= cap
-            assert (watched.clears > 0) == (cap < default._table_entries)
-            _assert_tables_within_the_cap(engine)
+            assert (watched.held.clears > 0) == (cap < uncapped)
+            assert getattr(ExactEngine(graph, cap), cache).cap == cap
 
-    def test_a_cap_of_zero_keeps_no_table(self):
+    def test_tables_emptied_under_a_memo_cap_the_memo_fits(self):
+        # K10's joint holds 304 memo entries and tables of 516 entries
+        graph = complete_graph(10, 0.5)
+        default = ExactEngine(graph)
+        value = default.joint(0, 1, 2)
+        assert len(default._memo) == 304 and default._tables.weight == 516
+        for cap in (304, 305):
+            engine = ExactEngine(graph, cap)
+            assert engine.joint(0, 1, 2) == value
+            assert engine.states_visited == default.states_visited
+            assert list(engine._memo.items()) == list(default._memo.items())
+            _assert_tables_within_the_cap(engine)
+        with pytest.raises(ResourceLimitError, match="memo"):
+            ExactEngine(graph, 303).joint(0, 1, 2)
+
+    def test_a_cap_of_zero_keeps_nothing(self):
         engine = ExactEngine(build_grid(GridSpec(3, 3, 0.6)).graph, 0)
         with pytest.raises(ResourceLimitError, match="memo"):
             engine.joint([0], 8, 2)
-        assert not engine._tables and not engine._table_entries and not engine._near
+        for cache in (engine._components, engine._near, engine._tables):
+            assert not cache.held and not cache.weight
 
 
 class TestNegativeCaps:

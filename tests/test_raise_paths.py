@@ -21,14 +21,17 @@ from orientprob import (
     build_grid,
     build_proof_quadruple,
     check_four_functions,
+    complete_graph,
     exact_connection_prob,
     exact_joint_prob,
     find_nonmonotonicity_witness,
     grid_reach_stats,
     make_graph,
+    out_neighborhood_distribution,
     parse_graph,
     random_graph,
     reach_many,
+    reachable_set_distribution,
     verify_theorem_1,
 )
 from orientprob.graphs import event_indicator_many
@@ -117,6 +120,17 @@ class TestSubsetDistribution:
         with pytest.raises(InputError, match=message):
             SubsetDistribution((7,), mass)
 
+    @pytest.mark.parametrize("law, vertex, ground", [
+        (out_neighborhood_distribution, 0, r"\(1, 2, 3\)"),  # a source is outside its out-neighbourhood's ground
+        (reachable_set_distribution, 7, r"\(0, 1, 2, 3\)"),  # not a vertex of the graph
+    ], ids=["out-neighbourhood", "reachable-set"])
+    def test_a_vertex_outside_the_ground_set(self, law, vertex, ground):
+        d = law(complete_graph(4), 0)
+        with pytest.raises(InputError, match=rf"vertex {vertex} is not in the ground set {ground}"):
+            d.prob_of([vertex])
+        with pytest.raises(InputError, match=rf"vertex {vertex}"):
+            d.mask_of([1, vertex])
+
 
 class TestGridChecks:
     def test_rejected_inputs(self):
@@ -152,6 +166,8 @@ class TestInequalityChecks:
             verify_theorem_1(triangle, mode="bogus")
         with pytest.raises(InputError, match="unknown mode"):
             alm_linusson_covariance(4, mode="bogus")
+        with pytest.raises(InputError, match="samples must be >= 2"):  # batch means need two samples
+            alm_linusson_covariance(4, mode="montecarlo", samples=1)
         with pytest.raises(InputError, match="unknown source set policy"):
             list(SourceSetPolicy(kind="bogus").source_sets(3))
 
