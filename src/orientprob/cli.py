@@ -81,6 +81,13 @@ def _parse_grid_dims(text: str) -> tuple[int, int]:
         raise InputError(f"expected WIDTHxHEIGHT, got {text!r}") from None
 
 
+def _parse_biases(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"--bias must be a comma-separated list of numbers, got {text!r}") from None
+
+
 def _parse_random_spec(text: str) -> dict:
     fields = {"n": ("n", int), "m": ("edge_count", int), "p": ("edge_prob", float)}
     spec: dict = {}
@@ -123,8 +130,7 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
         text = Path(args.graph).read_text(encoding="utf-8")
         return [parse_graph(text)]
     if args.grid is not None:
-        w, h = _parse_grid_dims(args.grid)
-        return [build_grid(GridSpec(w, h, args.bias)).graph]
+        return [build_grid(spec).graph for spec in args.grid]
     if args.complete is not None:
         return [complete_graph(args.complete, args.bias)]
     spec = _parse_random_spec(args.random)
@@ -156,7 +162,11 @@ def _check_args(args: argparse.Namespace) -> None:
     """Decide every flag rule that needs no graph, before any file is read or
     any graph is built. Value rules come first (exit 3), so a bad value is
     reported whatever else is wrong; presence and placement rules follow
-    (exit 2). The library keeps its own checks for its own callers."""
+    (exit 2). A flag whose text must be parsed is parsed here, once, and
+    its value stored back on args: the --source list, --grid as one
+    GridSpec per bias, the grid points and verify-t2's source-set policy
+    (args.policy). Only a --random spec is parsed later, as a graph is
+    built. The library keeps its own checks for its own callers."""
     def at_least_zero(*names: str) -> None:
         for name in names:
             value = getattr(args, name, None)
@@ -168,14 +178,25 @@ def _check_args(args: argparse.Namespace) -> None:
     if not getattr(args, "tolerance", 0.0) >= 0.0:  # NaN fails every comparison
         raise InputError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     at_least_zero("seed", "trials")
-    if args.command == "verify-t2":  # the source-set count the run reads, with the policy's message
-        _source_policy(args)
+    if args.command == "verify-t2":  # --random-sets when given, else --max-set-size, with the policy's message
+        args.policy = (SourceSetPolicy.random(args.random_sets, args.seed) if args.random_sets is not None
+                       else SourceSetPolicy.up_to_size(args.max_set_size))
     sampled = args.command in ("mc", "mc-slack", "grid-stats") or getattr(args, "mode", None) == "montecarlo"
     if sampled:
         slack = args.command in ("mc-slack", "verify-t1", "alm-linusson")  # batch means need two samples
         _check_sample_counts(args.samples, args.streams, minimum=2 if slack else 1)
     if args.command == "witness" and args.budget < 1:
         raise InputError("budget must be >= 1")
+    if getattr(args, "grid", None) is not None:  # grid-stats reads a list of biases, one box each
+        w, h = _parse_grid_dims(args.grid)
+        biases = _parse_biases(args.bias) if args.command == "grid-stats" else [args.bias]
+        args.grid = [GridSpec(w, h, p) for p in biases]
+    if getattr(args, "source", None) is not None:
+        args.source = _parse_int_list(args.source)
+    if args.command == "grid-stats":
+        args.origin = _parse_xy(args.origin)
+    if args.command == "witness":
+        args.a, args.b = _parse_xy(args.a), _parse_xy(args.b)
     random = getattr(args, "random", None)
     if args.seed is None and random is not None:
         raise UsageError("--random requires --seed")
@@ -207,45 +228,42 @@ def _emit(args: argparse.Namespace, payload: dict | str) -> None:
             os.close(devnull)
 
 
-def _event(args: argparse.Namespace, sources: list[int]) -> EventExpr:
-    """sources -> --target, and sources -> --target2 too when it is given."""
-    event = EventExpr.connection(sources, args.target)
+def _event(args: argparse.Namespace) -> EventExpr:
+    """--source -> --target, and --source -> --target2 too when it is given."""
+    event = EventExpr.connection(args.source, args.target)
     if args.target2 is not None:
-        event = event & EventExpr.connection(sources, args.target2)
+        event = event & EventExpr.connection(args.source, args.target2)
     return event
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+# Each command reads the flags _check_args parsed and returns its payload,
+# a dict for JSON or the text itself, with the exit code; main emits it.
+
+
+def _cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
     graph = _graphs_from_args(args)[0]
-    sources = _parse_int_list(args.source)
     if args.method == "enumeration":
-        result = brute_force_prob(graph, _event(args, sources), enum_cap=args.enum_cap)
+        result = brute_force_prob(graph, _event(args), enum_cap=args.enum_cap)
     elif args.target2 is not None:
-        result = exact_joint_prob(graph, sources, args.target, args.target2, memo_cap=args.memo_cap)
+        result = exact_joint_prob(graph, args.source, args.target, args.target2, memo_cap=args.memo_cap)
     else:
-        result = exact_connection_prob(graph, sources, args.target, memo_cap=args.memo_cap)
-    _emit(args, result.as_dict())
-    return EXIT_OK
+        result = exact_connection_prob(graph, args.source, args.target, memo_cap=args.memo_cap)
+    return result.as_dict(), EXIT_OK
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
+def _cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
     graph = _graphs_from_args(args)[0]
-    event = _event(args, _parse_int_list(args.source))
-    report = estimate_event(graph, event, args.samples, args.seed, args.streams)
-    _emit(args, report.as_dict())
-    return EXIT_OK
+    return estimate_event(graph, _event(args), args.samples, args.seed, args.streams).as_dict(), EXIT_OK
 
 
-def _cmd_mc_slack(args: argparse.Namespace) -> int:
+def _cmd_mc_slack(args: argparse.Namespace) -> tuple[dict, int]:
     graph = _graphs_from_args(args)[0]
-    sources = _parse_int_list(args.source)
-    slack, se = estimate_slack(graph, sources, args.a, args.b, args.samples, args.seed, args.streams)
-    _emit(args, {"slack": slack, "std_error": se, "samples": args.samples,
-                 "seed": args.seed, "streams": args.streams})
-    return EXIT_OK
+    slack, se = estimate_slack(graph, args.source, args.a, args.b, args.samples, args.seed, args.streams)
+    return {"slack": slack, "std_error": se, "samples": args.samples,
+            "seed": args.seed, "streams": args.streams}, EXIT_OK
 
 
-def _cmd_verify_t1(args: argparse.Namespace) -> int:
+def _cmd_verify_t1(args: argparse.Namespace) -> tuple[dict, int]:
     graphs = _graphs_from_args(args, trials=args.trials)
     reports = [
         verify_theorem_1(
@@ -260,45 +278,32 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
         for g in graphs
     ]
     merged = merge_reports(reports)
-    _emit(args, merged.as_dict())
-    return EXIT_OK if merged.ok else EXIT_VIOLATION
+    return merged.as_dict(), EXIT_OK if merged.ok else EXIT_VIOLATION
 
 
-def _source_policy(args: argparse.Namespace) -> SourceSetPolicy:
-    """verify-t2's policy: --random-sets when given, else --max-set-size."""
-    if args.random_sets is not None:
-        return SourceSetPolicy.random(args.random_sets, args.seed)
-    return SourceSetPolicy.up_to_size(args.max_set_size)
-
-
-def _cmd_verify_t2(args: argparse.Namespace) -> int:
-    policy = _source_policy(args)
+def _cmd_verify_t2(args: argparse.Namespace) -> tuple[dict, int]:
     graphs = _graphs_from_args(args, trials=args.trials)
     merged = merge_reports(
-        verify_theorem_2(g, policy, args.tolerance, memo_cap=args.memo_cap) for g in graphs
+        verify_theorem_2(g, args.policy, args.tolerance, memo_cap=args.memo_cap) for g in graphs
     )
-    _emit(args, merged.as_dict())
-    return EXIT_OK if merged.ok else EXIT_VIOLATION
+    return merged.as_dict(), EXIT_OK if merged.ok else EXIT_VIOLATION
 
 
-def _cmd_fourfunc(args: argparse.Namespace) -> int:
+def _cmd_fourfunc(args: argparse.Namespace) -> tuple[dict, int]:
     graph = _graphs_from_args(args)[0]
-    sources = _parse_int_list(args.source)
-    quad = build_proof_quadruple(graph, sources, args.a, args.b)
+    quad = build_proof_quadruple(graph, args.source, args.a, args.b)
     report = check_four_functions(quad, tolerance=args.tolerance)
-    _emit(args, report.as_dict())
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return report.as_dict(), EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_mcdiarmid(args: argparse.Namespace) -> int:
+def _cmd_mcdiarmid(args: argparse.Namespace) -> tuple[dict, int]:
     graph = _graphs_from_args(args)[0]
     tv = verify_mcdiarmid(graph, args.root, enum_cap=args.enum_cap)
-    _emit(args, {"tv_distance": tv, "root": args.root, "edge_count": graph.edge_count,
-                 "tolerance": args.tolerance})
-    return EXIT_OK if tv <= args.tolerance else EXIT_VIOLATION
+    return {"tv_distance": tv, "root": args.root, "edge_count": graph.edge_count,
+            "tolerance": args.tolerance}, EXIT_OK if tv <= args.tolerance else EXIT_VIOLATION
 
 
-def _cmd_alm_linusson(args: argparse.Namespace) -> int:
+def _cmd_alm_linusson(args: argparse.Namespace) -> tuple[dict, int]:
     result = alm_linusson_covariance(
         args.n,
         mode=args.mode,
@@ -307,50 +312,37 @@ def _cmd_alm_linusson(args: argparse.Namespace) -> int:
         streams=args.streams,
         enum_cap=args.enum_cap,
     )
-    _emit(args, result.as_dict())
-    return EXIT_OK
+    return result.as_dict(), EXIT_OK
 
 
-def _cmd_grid_stats(args: argparse.Namespace) -> int:
-    w, h = _parse_grid_dims(args.grid)
-    try:
-        biases = [float(x) for x in args.bias.split(",")]
-    except ValueError:
-        raise InputError(f"--bias must be a comma-separated list of numbers, got {args.bias!r}") from None
-    rows = []
-    for p in biases:
-        grid = build_grid(GridSpec(w, h, p))
-        origin = grid.id_of(*_parse_xy(args.origin))
-        rows.append(grid_reach_stats(grid, origin, args.samples, args.seed, args.streams))
+def _cmd_grid_stats(args: argparse.Namespace) -> tuple[dict | str, int]:
+    rows = [
+        grid_reach_stats(grid, grid.id_of(*args.origin), args.samples, args.seed, args.streams)
+        for grid in map(build_grid, args.grid)
+    ]
     if args.format == "csv":
-        _emit(args, "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]))
-    else:
-        _emit(args, {"rows": [r.as_dict() for r in rows]})
-    return EXIT_OK
+        return "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]), EXIT_OK
+    return {"rows": [r.as_dict() for r in rows]}, EXIT_OK
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    w, h = _parse_grid_dims(args.grid)
-    grid = build_grid(GridSpec(w, h, args.bias))
-    a = grid.id_of(*_parse_xy(args.a))
-    b = grid.id_of(*_parse_xy(args.b))
+def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
+    grid = build_grid(args.grid[0])
+    a, b = grid.id_of(*args.a), grid.id_of(*args.b)
     result = find_nonmonotonicity_witness(grid, a, b, args.flip, args.budget, args.seed)
-    if result.found:
-        w_ = result.witness
-        edge = grid.graph.edges[w_.edge_index]
-        _emit(args, {
-            "found": True,
-            "attempts": result.attempts,
-            "edge_index": w_.edge_index,
-            "edge": [edge.low, edge.high],
-            "flip_direction": w_.flip_direction,
-            "a": w_.a,
-            "b": w_.b,
-            "orientation_bits": list(w_.orientation.bits),
-        })
-        return EXIT_OK
-    _emit(args, {"found": False, "attempts": result.attempts, "budget": result.budget})
-    return EXIT_EXHAUSTED
+    if not result.found:
+        return {"found": False, "attempts": result.attempts, "budget": result.budget}, EXIT_EXHAUSTED
+    w = result.witness
+    edge = grid.graph.edges[w.edge_index]
+    return {
+        "found": True,
+        "attempts": result.attempts,
+        "edge_index": w.edge_index,
+        "edge": [edge.low, edge.high],
+        "flip_direction": w.flip_direction,
+        "a": w.a,
+        "b": w.b,
+        "orientation_bits": list(w.orientation.bits),
+    }, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     box = shared()
     box.add_argument("--grid", required=True, metavar="WxH")
 
-    def command(name: str, func: Callable[[argparse.Namespace], int], summary: str,
+    def command(name: str, func: Callable[[argparse.Namespace], tuple[dict | str, int]], summary: str,
                 *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, parents=[*parents, seed_output])
         p.set_defaults(func=func)
@@ -459,7 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         _check_args(args)
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(args, payload)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -194,17 +194,30 @@ def _enumerated_law(
 
 def _accumulate_row_masses(rows: PackedBatch, weights: np.ndarray, acc: dict[int, float]) -> None:
     """Add row i's weight to acc[mask], bit j of mask set when bit i of
-    rows.columns[j] is. Byte j >> 3 of row i's code takes bit i of column j
-    at bit j & 7, first column to lowest bit, so a row's code is its mask."""
-    planes = np.zeros(((len(rows.columns) + 7) // 8, rows.k), dtype=np.uint8)
-    for j in range(len(rows.columns)):
-        planes[j >> 3] |= rows.column(j).view(np.uint8) << (j & 7)
-    if len(planes) == 1:
-        code = planes[0]
-        present = np.flatnonzero(np.bincount(code, minlength=256))
-        sums = np.bincount(code, weights=weights, minlength=256)[present]
-        masks = present.tolist()
+    rows.columns[j] is. Up to 64 columns, row i's code is its mask itself,
+    an integer whose bit j is bit i of column j; codes of up to 16 bits are
+    summed in a dense bincount, wider ones through a 1-D np.unique. Past 64
+    columns, byte j >> 3 of row i's code takes bit i of column j at bit
+    j & 7, and the codes are told apart as byte rows. On every path a mask
+    sums its rows' weights in row order."""
+    n = len(rows.columns)
+    if n <= 64:
+        dtype = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint64
+        code = np.zeros(rows.k, dtype=dtype)
+        for j in range(n):
+            code |= rows.column(j).view(np.uint8).astype(dtype, copy=False) << j
+        if n <= 16:
+            present = np.flatnonzero(np.bincount(code, minlength=256))
+            sums = np.bincount(code, weights=weights, minlength=256)[present]
+            masks = present.tolist()
+        else:
+            uniq, inv = np.unique(code, return_inverse=True)
+            sums = np.bincount(inv, weights=weights, minlength=len(uniq))
+            masks = uniq.tolist()
     else:
+        planes = np.zeros(((n + 7) // 8, rows.k), dtype=np.uint8)
+        for j in range(n):
+            planes[j >> 3] |= rows.column(j).view(np.uint8) << (j & 7)
         uniq, inv = np.unique(planes.T, axis=0, return_inverse=True)
         sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
         masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
@@ -276,8 +289,10 @@ class ExactEngine:
     `memo_cap` bounds the memo in entries, aliases included: a store past it
     raises ResourceLimitError. It bounds each cache too, the tables in table
     entries, but a cache is emptied instead (see _Bounded), which changes no
-    value, no state count and no memo entry. A negative cap raises
-    InputError.
+    value, no state count and no memo entry. A frontier table of more than
+    max(memo_cap, DEFAULT_MEMO_CAP) entries raises ResourceLimitError before
+    it is built; the floor leaves a small cap to fail in the memo. A
+    negative cap raises InputError.
     """
 
     def __init__(self, graph: Graph, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -397,13 +412,14 @@ class ExactEngine:
         if table is not None:
             return table
         vertices, probs = _frontier(self.graph, near, src_mask)
+        limit = max(self.memo_cap, DEFAULT_MEMO_CAP)  # a floor, so a small cap still fails in the memo
         if self._classes:
             groups: dict[tuple[int, int], tuple[float, list[int]]] = {}
             for v, p in zip(vertices, probs):
                 groups.setdefault((self._leader[v], wanted >> v & 1), (p, []))[1].append(v)
-            table = _subset_table([], [], groups.values())
+            table = _subset_table([], [], groups.values(), limit)
         else:
-            table = _subset_table(vertices, probs)  # every group a lone vertex
+            table = _subset_table(vertices, probs, (), limit)  # every group a lone vertex
         self._tables.keep(key, table, len(table[0]))
         return table
 
@@ -522,11 +538,15 @@ def _frontier(graph: Graph, near: int, src_mask: int) -> tuple[list[int], list[f
 
 
 def _subset_table(
-    vertices: list[int], probs: list[float], groups: Iterable[tuple[float, list[int]]] = ()
+    vertices: list[int],
+    probs: list[float],
+    groups: Collection[tuple[float, list[int]]] = (),
+    limit: int = DEFAULT_MEMO_CAP,
 ) -> tuple[list[int], list[float]]:
     """Vertex mask and mass of every subset of `vertices`, each vertex
     included independently with its probability, and of every vector of
-    member counts over `groups` of interchangeable vertices.
+    member counts over `groups` of interchangeable vertices. A table of more
+    than `limit` entries raises ResourceLimitError before any is built.
 
     For the vertices, entry i holds vertices[j] exactly when bit j of i is
     set. A group (p, members) of c members then multiplies the table
@@ -536,6 +556,11 @@ def _subset_table(
     without twins runs it at every state. Each mass is its factors
     multiplied in that order.
     """
+    size = 1 << len(vertices)
+    for _, members in groups:
+        size *= len(members) + 1
+    if size > limit:
+        raise ResourceLimitError(f"frontier table of {size} entries exceeds the limit of {limit}")
     if vertices:  # the first vertex alone, as its doubling of [1.0] gives
         masks = [0, 1 << vertices[0]]
         masses = [1.0 - probs[0], probs[0]]
@@ -563,7 +588,9 @@ def _subset_table(
 def out_neighborhood_distribution(graph: Graph, sources: Iterable[int] | int) -> SubsetDistribution:
     """Law of the set of outside vertices receiving an edge oriented out of
     the sources. Each outside neighbor v is included independently with its
-    own probability, so the mass is a product over the ground set."""
+    own probability, so the mass is a product over the ground set. A ground
+    set of more than log2(DEFAULT_MEMO_CAP) vertices raises
+    ResourceLimitError."""
     src_mask = _vertex_mask(graph, _check_sources(graph, sources))
     ground, probs = _frontier(graph, _neighbors_of(graph, src_mask) & ~src_mask, src_mask)
     _, masses = _subset_table(ground, probs)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -661,17 +662,18 @@ def _flag_rule_cases():
         "grid-stats": "grid-stats --grid 4x4 --samples 10",
         "witness": "witness --grid 4x4 --a 0,0 --b 1,1",
     }
-    bad_values = {
-        "exact": ["--memo-cap -1", "--enum-cap -1"],
-        "mc": ["--samples 0", "--streams 0"],
-        "mc-slack": ["--samples 1", "--streams 0"],
+    bad_values = {  # a later flag replaces the one in the argv above
+        "exact": ["--memo-cap -1", "--enum-cap -1", "--source 0,x"],
+        "mc": ["--samples 0", "--streams 0", "--source x"],
+        "mc-slack": ["--samples 1", "--streams 0", "--source x"],
         "verify-t1": ["--samples 1", "--streams 0", "--memo-cap -1", "--tolerance nan", "--trials -1"],
         "verify-t2": ["--trials -1", "--random-sets -1", "--tolerance nan"],  # --max-set-size is unread here
-        "fourfunc": ["--tolerance nan"],
+        "fourfunc": ["--tolerance nan", "--source x"],
         "mcdiarmid": ["--enum-cap -1", "--tolerance nan"],
         "alm-linusson": ["--samples 0", "--samples 1", "--streams 0", "--enum-cap -1"],
-        "grid-stats": ["--samples 0", "--streams 0"],
-        "witness": ["--budget 0"],
+        "grid-stats": ["--samples 0", "--streams 0", "--grid 4", "--grid 0x4", "--bias 0.5,1.5", "--bias 0.5,x",
+                       "--origin 0"],
+        "witness": ["--budget 0", "--grid 4", "--bias 1.5", "--a 0", "--b 1,y"],
     }
     cases = []
     for command, argv in drawing.items():
@@ -701,8 +703,29 @@ class TestFlagRules:
         assert captured.err.startswith("input error: " if code == 3 else "usage error: ")
         assert captured.err.count("\n") == 1
 
-    # inputs whose exit code or message changed when the rules moved to main
+    # inputs whose exit code or message changed when the rules moved to main,
+    # and when every flag's text came to be parsed there
     @pytest.mark.parametrize("argv, code, message", [
+        ("grid-stats --grid 4x4 --bias 1.5 --samples 10", 3, "input error: bias 1.5 outside [0,1]"),
+        ("grid-stats --grid 4 --samples 10", 3, "input error: expected WIDTHxHEIGHT, got '4'"),
+        ("grid-stats --grid 4x4 --origin x --samples 10", 3,
+         "input error: expected comma-separated integers, got 'x'"),
+        ("mc --graph g.edges --source x --target 1 --samples 10", 3,
+         "input error: expected comma-separated integers, got 'x'"),
+        ("mc-slack --graph g.edges --source x --a 1 --b 2 --samples 10", 3,
+         "input error: expected comma-separated integers, got 'x'"),
+        ("exact --random n=4,m=4 --source x --target 1", 3, "input error: expected comma-separated integers, got 'x'"),
+        ("mc --grid 0x3 --source 0 --target 1 --samples 10", 3, "input error: grid dimensions must be >= 1"),
+        ("verify-t1 --grid 2x2 --bias -1 --trials 2", 3, "input error: bias -1.0 outside [0,1]"),
+        ("witness --grid 4x4 --bias 2 --a 0,0 --b 1,1", 3, "input error: bias 2.0 outside [0,1]"),
+        ("witness --grid 4x4 --a 0 --b 1,1", 3, "input error: expected 'x,y', got '0'"),
+        # a bad --source is found before the graph is read or drawn
+        ("exact --graph missing.edges --source x --target 1", 3,
+         "input error: expected comma-separated integers, got 'x'"),
+        ("exact --random n=x,m=3 --seed 1 --source x --target 1", 3,
+         "input error: expected comma-separated integers, got 'x'"),
+        # both witness points are parsed before either is placed in the box
+        ("witness --grid 4x4 --a 9,9 --b x --seed 0", 3, "input error: expected comma-separated integers, got 'x'"),
         ("mc --graph missing.edges --source 0 --target 1 --samples 10", 2,
          "usage error: this subcommand is randomized; --seed is required"),
         ("mc-slack --graph missing.edges --source 0 --a 1 --b 2 --samples 10", 2,
@@ -735,5 +758,74 @@ class TestFlagRules:
     ])
     def test_announced_outcomes(self, capsys, tmp_path, monkeypatch, argv, code, message):
         monkeypatch.chdir(tmp_path)  # missing.edges does not exist
+        (tmp_path / "g.edges").write_text(TRIANGLE)
         assert main(argv.split()) == code
         assert capsys.readouterr() == ("", message + "\n")
+
+
+class TestOneOutputPath:
+    """Commands compute and return their payload; main writes it, once."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        calls = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda args, payload: calls.append(payload) or emit(args, payload))
+        return calls
+
+    @pytest.mark.parametrize("argv, code", [
+        ("exact --complete 4 --source 0 --target 1", 0),
+        ("exact --complete 4 --source 0 --target 1 --target2 2 --method enumeration", 0),
+        ("mc --complete 4 --source 0 --target 1 --samples 100 --seed 1", 0),
+        ("mc-slack --complete 4 --source 0 --a 1 --b 2 --samples 100 --seed 1", 0),
+        ("verify-t1 --complete 4", 0),
+        ("verify-t2 --complete 4 --max-set-size 2", 0),
+        ("fourfunc --complete 4 --source 0 --a 1 --b 2", 0),
+        ("mcdiarmid --complete 4 --root 0", 0),
+        ("alm-linusson --n 4", 0),
+        ("grid-stats --grid 3x3 --bias 0.3,0.6 --samples 50 --seed 1", 0),
+        ("witness --grid 2x1 --a 0,0 --b 1,0 --budget 10 --seed 0", 4),
+    ])
+    def test_main_emits_each_result_once(self, capsys, emitted, argv, code):
+        assert main(argv.split()) == code
+        out = capsys.readouterr().out
+        assert len(emitted) == 1
+        text = emitted[0] if isinstance(emitted[0], str) else json.dumps(emitted[0], indent=2)
+        assert out == text + "\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        ("exact --complete 4 --source 0 --target 9", 3),
+        ("exact --complete 4 --source 0 --target 1 --memo-cap 0", 4),
+        ("mc --complete 4 --source 0 --target 1 --samples 100", 2),
+    ])
+    def test_a_failed_run_emits_nothing(self, capsys, emitted, argv, code):
+        assert main(argv.split()) == code
+        assert emitted == [] and capsys.readouterr().out == ""
+
+    def test_a_bad_bias_late_in_the_list_stops_the_run_before_any_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "grid_reach_stats", lambda *args, **kwargs: pytest.fail("a row was sampled"))
+        assert main("grid-stats --grid 4x4 --bias 0.5,1.5 --samples 10 --seed 1".split()) == 3
+        assert capsys.readouterr() == ("", "input error: bias 1.5 outside [0,1]\n")
+
+    def test_a_bad_source_is_found_before_the_graph_file_is_read(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_graphs_from_args", lambda *args, **kwargs: pytest.fail("a graph was read"))
+        argv = ["exact", "--graph", str(tmp_path / "missing.edges"), "--source", "x", "--target", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "input error: expected comma-separated integers, got 'x'\n")
+
+    def test_a_frontier_table_past_the_limit_exits_4_before_it_is_built(self, capsys, tmp_path):
+        # source 0 and hub 24 joined to 23 middle vertices, each at its own
+        # bias: the first frontier table would hold 2^23 entries
+        lines = [f"{u} {v} {0.2 + 0.01 * i}" for i in range(1, 24) for u, v in ((0, i), (i, 24))]
+        path = tmp_path / "fan.edges"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            assert main(["exact", "--graph", str(path), "--source", "0", "--target", "24"]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource limit: frontier table of 8388608 entries exceeds the limit of 4194304\n"
+        assert peak < 1 << 24

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -71,7 +72,7 @@ class TestBruteForce:
             assert brute_force_prob(g, ev).probability == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 70])
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 64, 65, 70])
 def test_accumulate_row_masses_matches_plain_loop(n):
     rng = np.random.default_rng(n)
     rows = rng.random((500, n)) < rng.random(n)
@@ -886,6 +887,47 @@ class TestCacheBounds:
             engine.joint([0], 8, 2)
         for cache in (engine._components, engine._near, engine._tables):
             assert not cache.held and not cache.weight
+
+
+def _fan(g):
+    """Source 0 and hub g + 1, each joined to every one of the g middle
+    vertices at that vertex's own bias, so no two vertices are twins: the
+    first state's frontier is all g middle vertices, a table of 2^g entries."""
+    edges = []
+    for v in range(1, g + 1):
+        bias = 0.2 + 0.5 * v / g
+        edges += [(0, v, bias), (v, g + 1, bias)]
+    return make_graph(g + 2, edges)
+
+
+class TestTableLimit:
+    """A frontier table of more than max(memo_cap, DEFAULT_MEMO_CAP) entries
+    is refused before it is built: its size is counted first."""
+
+    def test_a_table_past_the_limit_is_refused_before_it_is_built(self):
+        for memo_cap in (exact.DEFAULT_MEMO_CAP, 10):  # a small cap keeps the default limit
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="frontier table of 8388608 entries"):
+                    ExactEngine(_fan(23), memo_cap).connection(0, 24)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 24  # the table's lists alone would take hundreds of MiB
+
+    def test_the_size_counts_lone_vertices_and_group_counts(self):
+        # 2^2 subsets of the lone vertices times (2+1)(1+1) group counts
+        args = ([1, 2], [0.5, 0.25], [(0.5, [3, 4]), (0.5, [5])])
+        masks, masses = exact._subset_table(*args, 24)
+        assert len(masks) == len(masses) == 24
+        with pytest.raises(ResourceLimitError, match="24 entries exceeds the limit of 23"):
+            exact._subset_table(*args, 23)
+
+    def test_out_neighborhood_law_of_a_wide_star(self):
+        star = make_graph(24, [(0, v, 0.2 + 0.5 * v / 23) for v in range(1, 24)])
+        assert all(len(members) == 1 for members in star.twin_classes)
+        with pytest.raises(ResourceLimitError, match="frontier table"):
+            out_neighborhood_distribution(star, 0)
 
 
 class TestNegativeCaps:
