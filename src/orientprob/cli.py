@@ -28,6 +28,7 @@ from .inequalities import (
     HYPOTHESIS_TOL,
     PROBABILITY_TOL,
     SourceSetPolicy,
+    _check_alm_linusson_n,
     alm_linusson_covariance,
     build_proof_quadruple,
     check_four_functions,
@@ -116,13 +117,8 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--grid", metavar="WxH", help="grid box, bias from --bias")
     group.add_argument("--complete", type=int, metavar="N", help="complete graph, bias from --bias")
     group.add_argument("--random", metavar="SPEC", help="seeded random graph, e.g. n=5,m=8 or n=5,p=0.4")
-    parser.add_argument("--bias", type=float, default=0.5, help="edge bias for --grid/--complete (default 0.5)")
-    parser.add_argument(
-        "--bias-policy",
-        choices=["uniform", "constant"],
-        default="uniform",
-        help="per-edge biases for --random: uniform in [0,1] or constant --bias",
-    )
+    parser.add_argument("--bias", type=float, default=0.5, action=_Given, help="edge bias for --grid/--complete "
+                        "(default 0.5); given with --random, every edge's bias, else uniforms in [0,1]")
 
 
 def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> list[Graph]:
@@ -134,12 +130,9 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
     if args.complete is not None:
         return [complete_graph(args.complete, args.bias)]
     spec = _parse_random_spec(args.random)
-    biases = "uniform" if args.bias_policy == "uniform" else float(args.bias)
-    return [
-        random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"),
-                     biases=biases, seed=args.seed, index=i)
-        for i in range(1 if trials is None else trials)
-    ]
+    biases = args.bias if "bias" in args.given else "uniform"
+    return [random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"), biases, args.seed, i)
+            for i in range(1 if trials is None else trials)]
 
 
 def _check_output(path: str | None) -> None:
@@ -161,12 +154,12 @@ def _check_output(path: str | None) -> None:
 def _check_args(args: argparse.Namespace) -> None:
     """Decide every flag rule that needs no graph, before any file is read or
     any graph is built. Value rules come first (exit 3), so a bad value is
-    reported whatever else is wrong; presence and placement rules follow
-    (exit 2). A flag whose text must be parsed is parsed here, once, and
-    its value stored back on args: the --source list, --grid as one
-    GridSpec per bias, the grid points and verify-t2's source-set policy
-    (args.policy). Only a --random spec is parsed later, as a graph is
-    built. The library keeps its own checks for its own callers."""
+    reported whatever else is wrong; then one table refuses a missing
+    --seed and any flag the run would not read (exit 2). A flag whose text
+    must be parsed is parsed here, once, and stored back on args: the
+    --source list, --grid as one GridSpec per bias, the grid points as
+    vertex ids and verify-t2's source-set policy (args.policy). Only a
+    --random spec is parsed later, as a graph is built."""
     def at_least_zero(*names: str) -> None:
         for name in names:
             value = getattr(args, name, None)
@@ -187,29 +180,47 @@ def _check_args(args: argparse.Namespace) -> None:
         _check_sample_counts(args.samples, args.streams, minimum=2 if slack else 1)
     if args.command == "witness" and args.budget < 1:
         raise InputError("budget must be >= 1")
+    given = args.given = getattr(args, "given", set())
     if getattr(args, "grid", None) is not None:  # grid-stats reads a list of biases, one box each
         w, h = _parse_grid_dims(args.grid)
         biases = _parse_biases(args.bias) if args.command == "grid-stats" else [args.bias]
         args.grid = [GridSpec(w, h, p) for p in biases]
+    elif "bias" in given and not 0.0 <= args.bias <= 1.0:  # GridSpec's rule, for any other graph source
+        raise InputError(f"bias {args.bias} outside [0,1]")
+    if getattr(args, "complete", None) is not None:
+        Graph(args.complete, ())  # the library's vertex-count rule, before any edge is built
+    if args.command == "alm-linusson":
+        _check_alm_linusson_n(args.n)
     if getattr(args, "source", None) is not None:
         args.source = _parse_int_list(args.source)
-    if args.command == "grid-stats":
-        args.origin = _parse_xy(args.origin)
+    if args.command == "grid-stats":  # grid points become vertex ids, each checked against the box
+        args.origin = args.grid[0].id_of(*_parse_xy(args.origin))
     if args.command == "witness":
-        args.a, args.b = _parse_xy(args.a), _parse_xy(args.b)
-    random = getattr(args, "random", None)
-    if args.seed is None and random is not None:
-        raise UsageError("--random requires --seed")
-    if args.seed is None and (sampled or args.command == "witness" or getattr(args, "random_sets", None) is not None):
-        raise UsageError("this subcommand is randomized; --seed is required")
-    if getattr(args, "trials", None) is not None and random is None:
-        raise UsageError("--trials applies to --random graphs only")
-    given = getattr(args, "given", set())
-    unread = set() if sampled else given & {"samples", "streams"}
-    if unread:
-        raise UsageError(f"--{min(unread)} applies to --mode montecarlo only")
-    if "max_set_size" in given and args.random_sets is not None:
-        raise UsageError("--max-set-size does not apply with --random-sets")
+        a, b = _parse_xy(args.a), _parse_xy(args.b)
+        args.a, args.b = args.grid[0].id_of(*a), args.grid[0].id_of(*b)
+    command, random, random_sets = args.command, getattr(args, "random", None), getattr(args, "random_sets", None)
+    draws = sampled or command == "witness" or random is not None or random_sets is not None
+    enumerates = getattr(args, "method", None) == "enumeration" or command in ("mcdiarmid", "alm-linusson")
+    # Each flag some run leaves unread: whether this run reads it, and the
+    # message when it is given but unread. A run that reads --seed needs it.
+    reads = {
+        "seed": (draws, "--seed applies only to runs that draw: samples, witness, --random, --random-sets"),
+        "trials": (random is not None, "--trials applies to --random graphs only"),
+        "samples": (sampled, "--samples applies to --mode montecarlo only"),
+        "streams": (sampled, "--streams applies to --mode montecarlo only"),
+        "max_set_size": (random_sets is None, "--max-set-size does not apply with --random-sets"),
+        "memo_cap": (not (enumerates or sampled), "--memo-cap applies to the exact recursion only"),
+        "enum_cap": (enumerates and not sampled, "--enum-cap applies to enumeration only"),
+        "tolerance": (command != "verify-t1" or not sampled, "--tolerance does not apply with --mode montecarlo"),
+        "bias": (command != "mcdiarmid" and getattr(args, "graph", None) is None,
+                 "--bias does not apply to a --graph file or to mcdiarmid, whose coins are unbiased"),
+    }
+    if args.seed is None and draws:
+        raise UsageError("--random requires --seed" if random is not None
+                         else "this subcommand is randomized; --seed is required")
+    for flag, (read, message) in reads.items():
+        if flag in given and not read:
+            raise UsageError(message)
 
 
 def _emit(args: argparse.Namespace, payload: dict | str) -> None:
@@ -265,19 +276,9 @@ def _cmd_mc_slack(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_verify_t1(args: argparse.Namespace) -> tuple[dict, int]:
     graphs = _graphs_from_args(args, trials=args.trials)
-    reports = [
-        verify_theorem_1(
-            g,
-            mode=args.mode,
-            tolerance=args.tolerance,
-            samples=args.samples,
-            seed=args.seed,
-            streams=args.streams,
-            memo_cap=args.memo_cap,
-        )
-        for g in graphs
-    ]
-    merged = merge_reports(reports)
+    merged = merge_reports([verify_theorem_1(g, mode=args.mode, tolerance=args.tolerance, samples=args.samples,
+                                             seed=args.seed, streams=args.streams, memo_cap=args.memo_cap)
+                            for g in graphs])
     return merged.as_dict(), EXIT_OK if merged.ok else EXIT_VIOLATION
 
 
@@ -316,10 +317,8 @@ def _cmd_alm_linusson(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_grid_stats(args: argparse.Namespace) -> tuple[dict | str, int]:
-    rows = [
-        grid_reach_stats(grid, grid.id_of(*args.origin), args.samples, args.seed, args.streams)
-        for grid in map(build_grid, args.grid)
-    ]
+    rows = [grid_reach_stats(grid, args.origin, args.samples, args.seed, args.streams)
+            for grid in map(build_grid, args.grid)]
     if args.format == "csv":
         return "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]), EXIT_OK
     return {"rows": [r.as_dict() for r in rows]}, EXIT_OK
@@ -327,8 +326,7 @@ def _cmd_grid_stats(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     grid = build_grid(args.grid[0])
-    a, b = grid.id_of(*args.a), grid.id_of(*args.b)
-    result = find_nonmonotonicity_witness(grid, a, b, args.flip, args.budget, args.seed)
+    result = find_nonmonotonicity_witness(grid, args.a, args.b, args.flip, args.budget, args.seed)
     if not result.found:
         return {"found": False, "attempts": result.attempts, "budget": result.budget}, EXIT_EXHAUSTED
     w = result.witness
@@ -364,11 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     streams = shared()
     streams.add_argument("--streams", type=int, default=1, action=_Given)
     memo_cap = shared()
-    memo_cap.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
+    memo_cap.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP, action=_Given)
     enum_cap = shared()
-    enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, action=_Given)
     seed_output = shared()
-    seed_output.add_argument("--seed", type=int, help="seed of every random draw (samples, --random, --random-sets)")
+    seed_output.add_argument("--seed", type=int, action=_Given,
+                             help="seed of every random draw (samples, --random, --random-sets)")
     seed_output.add_argument("--output", metavar="PATH", help="write machine output to a file instead of stdout")
     source = shared()  # nested in targets and pair: one --source action for all four
     source.add_argument("--source", required=True, help="comma-separated source vertex ids")
@@ -379,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--a", type=int, required=True)
     pair.add_argument("--b", type=int, required=True)
     tolerance = shared()
-    tolerance.add_argument("--tolerance", type=float, default=PROBABILITY_TOL)
+    tolerance.add_argument("--tolerance", type=float, default=PROBABILITY_TOL, action=_Given)
     sweep = shared(tolerance)
-    sweep.add_argument("--trials", type=int, help="number of --random graphs to sweep (default 1)")
+    sweep.add_argument("--trials", type=int, action=_Given, help="number of --random graphs to sweep (default 1)")
     mode = shared()
     mode.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     box = shared()

@@ -38,6 +38,14 @@ class GridSpec:
         if not (0.0 <= self.bias <= 1.0):
             raise InputError(f"bias {self.bias} outside [0,1]")
 
+    def id_of(self, x: int, y: int) -> int:
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise InputError(f"coordinate ({x},{y}) outside {self.width}x{self.height}")
+        return y * self.width + x
+
+    def xy_of(self, vertex: int) -> tuple[int, int]:
+        return vertex % self.width, vertex // self.width
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -45,12 +53,7 @@ class Grid:
     graph: Graph
 
     def id_of(self, x: int, y: int) -> int:
-        if not (0 <= x < self.spec.width and 0 <= y < self.spec.height):
-            raise InputError(f"coordinate ({x},{y}) outside {self.spec.width}x{self.spec.height}")
-        return y * self.spec.width + x
-
-    def xy_of(self, vertex: int) -> tuple[int, int]:
-        return vertex % self.spec.width, vertex // self.spec.width
+        return self.spec.id_of(x, y)
 
     @cached_property
     def far_boundary(self) -> tuple[int, ...]:
@@ -64,7 +67,7 @@ class Grid:
         )
 
     def chebyshev_distances(self, origin: int) -> np.ndarray:
-        ox, oy = self.xy_of(origin)
+        ox, oy = self.spec.xy_of(origin)
         n = self.spec.width * self.spec.height
         return np.array(
             [max(abs(v % self.spec.width - ox), abs(v // self.spec.width - oy)) for v in range(n)],

@@ -259,14 +259,28 @@ class SourceSetPolicy:
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
         elif self.kind == "random":
-            # nonempty subsets sampled with replacement
+            # nonempty subsets sampled with replacement. A uniform has 53
+            # random bits, so past 53 vertices each set comes from raw words,
+            # uniform over the nonempty subsets by rejecting the empty one.
             stream = RandomStream(self.seed, 0)
             full = (1 << vertex_count) - 1
-            for u in stream.uniforms(self.count):
-                mask = 1 + int(u * full)
+            if vertex_count <= 53:
+                masks = (1 + int(u * full) for u in stream.uniforms(self.count))
+            else:
+                masks = (_nonempty_mask(stream, full) for _ in range(self.count))
+            for mask in masks:
                 yield frozenset(v for v in range(vertex_count) if (mask >> v) & 1)
         else:
             raise InputError(f"unknown source set policy {self.kind!r}")
+
+
+def _nonempty_mask(stream: RandomStream, full: int) -> int:
+    """A uniform nonempty subset of full's bits, from whole 64-bit words."""
+    words = -(-full.bit_length() // 64)
+    mask = 0
+    while not mask:
+        mask = sum(int(w) << (64 * i) for i, w in enumerate(stream.words(words))) & full
+    return mask
 
 
 def verify_theorem_2(
@@ -385,6 +399,11 @@ class AlmLinussonResult:
         return d
 
 
+def _check_alm_linusson_n(n: int) -> None:
+    if n < 3:
+        raise InputError("need n >= 3 for three distinct vertices")
+
+
 def alm_linusson_covariance(
     n: int,
     mode: str = "exact",
@@ -397,8 +416,7 @@ def alm_linusson_covariance(
     for three distinct labeled vertices (s, a, b) = (0, 1, 2); any labeling
     gives the same value by symmetry. Exploratory: the sign is reported, not
     asserted."""
-    if n < 3:
-        raise InputError("need n >= 3 for three distinct vertices")
+    _check_alm_linusson_n(n)
     graph = complete_graph(n, bias=0.5)
     s, a, b = 0, 1, 2
     ev_a = EventExpr.connection(a, s)  # a -> s

@@ -614,7 +614,7 @@ class TestInProcessExitCodes:
         assert out["prob"] == expected.probability
 
     def test_exact_on_a_random_graph_with_constant_bias(self, capsys):
-        argv = "exact --random n=5,p=0.6 --bias-policy constant --bias 0.3 --seed 2 --source 0 --target 4"
+        argv = "exact --random n=5,p=0.6 --bias 0.3 --seed 2 --source 0 --target 4"
         code, out = run_json(capsys, argv.split())
         assert code == 0
         graph = orientprob.random_graph(5, edge_prob=0.6, biases=0.3, seed=2)
@@ -755,12 +755,97 @@ class TestFlagRules:
          "usage error: --max-set-size does not apply with --random-sets"),
         ("verify-t2 --complete 4 --random-sets 2 --max-set-size -1 --seed 1", 2,
          "usage error: --max-set-size does not apply with --random-sets"),
+        # values that need no graph, decided with the other value rules; the
+        # flags now refused where unread are pinned in TestEveryFlagIsReadOrRefused
+        ("witness --grid 4x4 --a 9,9 --b 1,1", 3, "input error: coordinate (9,9) outside 4x4"),
+        ("witness --grid 4x4 --a 0,0 --b 1,4 --seed 0", 3, "input error: coordinate (1,4) outside 4x4"),
+        ("grid-stats --grid 4x4 --origin 9,9 --samples 10", 3, "input error: coordinate (9,9) outside 4x4"),
+        ("mc --complete 4 --bias 2 --source 0 --target 1 --samples 10", 3, "input error: bias 2.0 outside [0,1]"),
+        ("exact --random n=4,m=4 --bias -0.5 --source 0 --target 1", 3, "input error: bias -0.5 outside [0,1]"),
+        ("exact --complete 1 --bias 2 --source 0 --target 0", 3, "input error: bias 2.0 outside [0,1]"),
+        ("exact --graph g.edges --bias nan --source 0 --target 1", 3, "input error: bias nan outside [0,1]"),
+        ("mc --complete -1 --source 0 --target 1 --samples 10", 3, "input error: vertex_count must be nonnegative"),
+        ("alm-linusson --n 2 --mode montecarlo --samples 10", 3,
+         "input error: need n >= 3 for three distinct vertices"),
     ])
     def test_announced_outcomes(self, capsys, tmp_path, monkeypatch, argv, code, message):
         monkeypatch.chdir(tmp_path)  # missing.edges does not exist
         (tmp_path / "g.edges").write_text(TRIANGLE)
         assert main(argv.split()) == code
         assert capsys.readouterr() == ("", message + "\n")
+
+
+class TestEveryFlagIsReadOrRefused:
+    """A flag given on a run that would not read it exits 2 before any work;
+    the same flag on a run that reads it is accepted."""
+
+    # (a run that leaves the flag unread, the message, a run that reads it)
+    CASES = [
+        ("exact --complete 4 --source 0 --target 1 --method enumeration --memo-cap 1000",
+         "--memo-cap applies to the exact recursion only", "exact --complete 4 --source 0 --target 1 --memo-cap 1000"),
+        ("verify-t1 --complete 4 --mode montecarlo --samples 10 --seed 1 --memo-cap 1000",
+         "--memo-cap applies to the exact recursion only", "verify-t1 --complete 4 --memo-cap 1000"),
+        ("exact --complete 4 --source 0 --target 1 --enum-cap 10", "--enum-cap applies to enumeration only",
+         "exact --complete 4 --source 0 --target 1 --method enumeration --enum-cap 10"),
+        ("alm-linusson --n 4 --mode montecarlo --samples 10 --seed 1 --enum-cap 10",
+         "--enum-cap applies to enumeration only", "alm-linusson --n 4 --enum-cap 10"),
+        ("verify-t1 --complete 4 --mode montecarlo --samples 10 --seed 1 --tolerance 0.1",
+         "--tolerance does not apply with --mode montecarlo", "verify-t1 --complete 4 --tolerance 0.1"),
+        ("exact --graph g.edges --source 0 --target 1 --bias 0.3", "--bias does not apply to a --graph file or to "
+         "mcdiarmid, whose coins are unbiased", "exact --complete 4 --source 0 --target 1 --bias 0.3"),
+        ("mc --graph g.edges --source 0 --target 1 --samples 10 --seed 1 --bias 0.3", "--bias does not apply to a "
+         "--graph file or to mcdiarmid, whose coins are unbiased",
+         "mc --grid 2x2 --source 0 --target 3 --samples 10 --seed 1 --bias 0.3"),
+        ("verify-t2 --graph g.edges --bias 0.3", "--bias does not apply to a --graph file or to mcdiarmid, whose "
+         "coins are unbiased", "verify-t2 --random n=4,m=4 --seed 1 --bias 0.3"),
+        ("mcdiarmid --complete 4 --root 0 --bias 0.9", "--bias does not apply to a --graph file or to mcdiarmid, "
+         "whose coins are unbiased", "fourfunc --complete 4 --source 0 --a 1 --b 2 --bias 0.9"),
+        ("mcdiarmid --random n=4,m=4 --seed 1 --root 0 --bias 0.5", "--bias does not apply to a --graph file or to "
+         "mcdiarmid, whose coins are unbiased", "verify-t1 --random n=4,m=4 --seed 1 --bias 0.5"),
+        ("exact --complete 4 --source 0 --target 1 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "exact --random n=4,m=4 --source 0 --target 1 --seed 1"),
+        ("verify-t1 --complete 4 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "verify-t1 --complete 4 --mode montecarlo --samples 10 --seed 1"),
+        ("verify-t2 --complete 4 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "verify-t2 --complete 4 --random-sets 2 --seed 1"),
+        ("fourfunc --complete 4 --source 0 --a 1 --b 2 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "fourfunc --random n=4,m=4 --source 0 --a 1 --b 2 --seed 1"),
+        ("mcdiarmid --complete 4 --root 0 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "mcdiarmid --random n=4,m=4 --root 0 --seed 1"),
+        ("alm-linusson --n 4 --seed 1",
+         "--seed applies only to runs that draw: samples, witness, --random, --random-sets",
+         "alm-linusson --n 4 --mode montecarlo --samples 10 --seed 1"),
+    ]
+
+    @pytest.mark.parametrize("unread, message, read", CASES)
+    def test_an_unread_flag_exits_2(self, capsys, monkeypatch, tmp_path, unread, message, read):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.edges").write_text(TRIANGLE)
+        assert main(unread.split()) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert main(read.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+    def test_bias_policy_is_gone(self, capsys):
+        assert main("exact --complete 4 --source 0 --target 1 --bias-policy constant".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --bias-policy constant" in captured.err
+
+    def test_a_given_bias_with_random_is_every_edge_bias(self, capsys):
+        argv = "exact --random n=5,p=0.6 --seed 2 --source 0 --target 4".split()
+        uniform, constant = run_json(capsys, argv)[1], run_json(capsys, argv + ["--bias", "0.3"])[1]
+        assert uniform["prob"] == orientprob.exact_connection_prob(
+            orientprob.random_graph(5, edge_prob=0.6, seed=2), 0, 4).probability
+        assert constant["prob"] == orientprob.exact_connection_prob(
+            orientprob.random_graph(5, edge_prob=0.6, biases=0.3, seed=2), 0, 4).probability
+        assert uniform["prob"] != constant["prob"]
 
 
 class TestOneOutputPath:

@@ -61,6 +61,16 @@ class TestBuildGrid:
         with pytest.raises(InputError):
             GridSpec(0, 3, 0.5)
 
+    def test_grid_points_are_placed_by_the_spec_alone(self):
+        spec = GridSpec(5, 4, 0.5)
+        grid = build_grid(spec)
+        for x, y in [(0, 0), (4, 0), (2, 1), (4, 3)]:
+            assert spec.id_of(x, y) == grid.id_of(x, y)
+            assert spec.xy_of(spec.id_of(x, y)) == (x, y)
+        for x, y in [(5, 0), (0, 4), (-1, 0), (0, -1)]:
+            with pytest.raises(InputError, match=rf"coordinate \({x},{y}\) outside 5x4"):
+                spec.id_of(x, y)
+
 
 class TestReachStats:
     @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (5, 3), (8, 7)])

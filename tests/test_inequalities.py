@@ -12,6 +12,7 @@ from orientprob import (
     ExactEngine,
     GridSpec,
     InputError,
+    RandomStream,
     ResourceLimitError,
     SetFunctionQuadruple,
     SourceSetPolicy,
@@ -236,6 +237,21 @@ class TestTheoremSweeps:
         b = list(p.source_sets(6))
         assert a == b
         assert all(s for s in a)
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_random_policy_gives_each_vertex_half_the_sets(self, n):
+        # one 53-bit uniform per set once left vertices 1-6 out of every set at n = 60
+        sets = list(SourceSetPolicy.random(2000, seed=1).source_sets(n))
+        shares = [sum(v in s for s in sets) for v in range(n)]
+        assert all(s for s in sets)
+        assert 850 <= min(shares) and max(shares) <= 1150, shares
+
+    @pytest.mark.parametrize("n", [1, 6, 53])
+    def test_random_policy_keeps_its_draw_up_to_53_vertices(self, n):
+        full = (1 << n) - 1
+        masks = [1 + int(u * full) for u in RandomStream(4, 0).uniforms(50)]
+        expected = [frozenset(v for v in range(n) if (m >> v) & 1) for m in masks]
+        assert list(SourceSetPolicy.random(50, seed=4).source_sets(n)) == expected
 
     def test_montecarlo_sweep_reports_no_false_violations(self, triangle):
         rep = verify_theorem_1(triangle, mode="montecarlo", samples=20_000, seed=5, streams=4)

@@ -21,7 +21,6 @@ GRAPH_SOURCE = {
     "--complete": ("complete", None, "int", None, False),
     "--random": ("random", None, None, None, False),
     "--bias": ("bias", 0.5, "float", None, False),
-    "--bias-policy": ("bias_policy", "uniform", None, ("uniform", "constant"), False),
 }
 GRAPH_SOURCE_GROUP = [(("--complete", "--graph", "--grid", "--random"), True)]
 SEED_OUTPUT = {
