@@ -22,7 +22,7 @@ from .exact import (
     exact_joint_prob,
 )
 from .generators import complete_graph, random_graph
-from .graphs import EventExpr, Graph, parse_graph
+from .graphs import EventExpr, Graph, _check_bias, parse_graph
 from .grid import GridSpec, GridReachStats, build_grid, find_nonmonotonicity_witness, grid_reach_stats
 from .inequalities import (
     HYPOTHESIS_TOL,
@@ -131,8 +131,11 @@ def _graphs_from_args(args: argparse.Namespace, trials: int | None = None) -> li
         return [complete_graph(args.complete, args.bias)]
     spec = _parse_random_spec(args.random)
     biases = args.bias if "bias" in args.given else "uniform"
-    return [random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"), biases, args.seed, i)
-            for i in range(1 if trials is None else trials)]
+    return [
+        random_graph(spec["n"], spec.get("edge_count"), spec.get("edge_prob"),
+                     biases=biases, seed=args.seed, index=i)
+        for i in range(1 if trials is None else trials)
+    ]
 
 
 def _check_output(path: str | None) -> None:
@@ -185,8 +188,8 @@ def _check_args(args: argparse.Namespace) -> None:
         w, h = _parse_grid_dims(args.grid)
         biases = _parse_biases(args.bias) if args.command == "grid-stats" else [args.bias]
         args.grid = [GridSpec(w, h, p) for p in biases]
-    elif "bias" in given and not 0.0 <= args.bias <= 1.0:  # GridSpec's rule, for any other graph source
-        raise InputError(f"bias {args.bias} outside [0,1]")
+    elif "bias" in given:  # GridSpec's rule, for any other graph source
+        _check_bias(args.bias)
     if getattr(args, "complete", None) is not None:
         Graph(args.complete, ())  # the library's vertex-count rule, before any edge is built
     if args.command == "alm-linusson":
@@ -276,9 +279,19 @@ def _cmd_mc_slack(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_verify_t1(args: argparse.Namespace) -> tuple[dict, int]:
     graphs = _graphs_from_args(args, trials=args.trials)
-    merged = merge_reports([verify_theorem_1(g, mode=args.mode, tolerance=args.tolerance, samples=args.samples,
-                                             seed=args.seed, streams=args.streams, memo_cap=args.memo_cap)
-                            for g in graphs])
+    reports = [
+        verify_theorem_1(
+            g,
+            mode=args.mode,
+            tolerance=args.tolerance,
+            samples=args.samples,
+            seed=args.seed,
+            streams=args.streams,
+            memo_cap=args.memo_cap,
+        )
+        for g in graphs
+    ]
+    merged = merge_reports(reports)
     return merged.as_dict(), EXIT_OK if merged.ok else EXIT_VIOLATION
 
 
@@ -317,8 +330,10 @@ def _cmd_alm_linusson(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_grid_stats(args: argparse.Namespace) -> tuple[dict | str, int]:
-    rows = [grid_reach_stats(grid, args.origin, args.samples, args.seed, args.streams)
-            for grid in map(build_grid, args.grid)]
+    rows = [
+        grid_reach_stats(grid, args.origin, args.samples, args.seed, args.streams)
+        for grid in map(build_grid, args.grid)
+    ]
     if args.format == "csv":
         return "\n".join([GridReachStats.CSV_HEADER] + [r.csv_row() for r in rows]), EXIT_OK
     return {"rows": [r.as_dict() for r in rows]}, EXIT_OK

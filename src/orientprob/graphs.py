@@ -255,6 +255,12 @@ def sample_orientation(graph: Graph, stream: RandomStream) -> Orientation:
     return Orientation(tuple(int(b) for b in (u < graph.bias_array)))
 
 
+def _check_bias(p: float) -> None:
+    """The range rule for one bias shared by a whole graph (a box, K_n)."""
+    if not (0.0 <= p <= 1.0):
+        raise InputError(f"bias {p} outside [0,1]")
+
+
 def _check_vertex(graph: Graph, v: int) -> int:
     if not (0 <= v < graph.vertex_count):
         raise InputError(f"vertex {v} out of range for vertex_count={graph.vertex_count}")

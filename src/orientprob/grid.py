@@ -12,7 +12,7 @@ from operator import or_
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graphs import Graph, Orientation, PackedBatch, _check_vertex, make_graph, reach_many, reachable_set
+from .graphs import Graph, Orientation, PackedBatch, _check_bias, _check_vertex, make_graph, reach_many, reachable_set
 from .montecarlo import _sampled_blocks
 
 TOWARD_HIGH = "toward-high"
@@ -35,8 +35,7 @@ class GridSpec:
             raise InputError(f"grid dimensions must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise InputError("grid dimensions must be >= 1")
-        if not (0.0 <= self.bias <= 1.0):
-            raise InputError(f"bias {self.bias} outside [0,1]")
+        _check_bias(self.bias)
 
     def id_of(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):

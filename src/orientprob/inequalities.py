@@ -259,26 +259,22 @@ class SourceSetPolicy:
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
         elif self.kind == "random":
-            # nonempty subsets sampled with replacement. A uniform has 53
-            # random bits, so past 53 vertices each set comes from raw words,
-            # uniform over the nonempty subsets by rejecting the empty one.
+            # nonempty subsets sampled with replacement, each equally likely
             stream = RandomStream(self.seed, 0)
             full = (1 << vertex_count) - 1
-            if vertex_count <= 53:
-                masks = (1 + int(u * full) for u in stream.uniforms(self.count))
-            else:
-                masks = (_nonempty_mask(stream, full) for _ in range(self.count))
-            for mask in masks:
+            for _ in range(self.count):
+                mask = _nonempty_mask(stream, full)
                 yield frozenset(v for v in range(vertex_count) if (mask >> v) & 1)
         else:
             raise InputError(f"unknown source set policy {self.kind!r}")
 
 
 def _nonempty_mask(stream: RandomStream, full: int) -> int:
-    """A uniform nonempty subset of full's bits, from whole 64-bit words."""
+    """A uniform nonempty subset of full's bits: whole 64-bit words cut to
+    full, drawn again when empty. An empty full gives the empty set."""
     words = -(-full.bit_length() // 64)
     mask = 0
-    while not mask:
+    while full and not mask:
         mask = sum(int(w) << (64 * i) for i, w in enumerate(stream.words(words))) & full
     return mask
 
