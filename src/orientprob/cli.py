@@ -23,7 +23,7 @@ from .exact import (
 )
 from .generators import complete_graph, random_graph
 from .graphs import EventExpr, Graph, _check_bias, parse_graph
-from .grid import GridSpec, GridReachStats, build_grid, find_nonmonotonicity_witness, grid_reach_stats
+from .grid import GridSpec, GridReachStats, _check_witness_pair, build_grid, find_nonmonotonicity_witness, grid_reach_stats
 from .inequalities import (
     HYPOTHESIS_TOL,
     PROBABILITY_TOL,
@@ -100,6 +100,8 @@ def _parse_random_spec(text: str) -> dict:
         if key not in fields:
             raise InputError(f"unknown random spec key {key!r}")
         name, kind = fields[key]
+        if name in spec:
+            raise InputError(f"random spec key {key!r} is given twice")
         try:
             spec[name] = kind(value)
         except ValueError:
@@ -201,6 +203,7 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "witness":
         a, b = _parse_xy(args.a), _parse_xy(args.b)
         args.a, args.b = args.grid[0].id_of(*a), args.grid[0].id_of(*b)
+        _check_witness_pair(args.grid[0], args.a, args.b)
     command, random, random_sets = args.command, getattr(args, "random", None), getattr(args, "random_sets", None)
     draws = sampled or command == "witness" or random is not None or random_sets is not None
     enumerates = getattr(args, "method", None) == "enumeration" or command in ("mcdiarmid", "alm-linusson")

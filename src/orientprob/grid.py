@@ -4,7 +4,7 @@ flipping one edge in a fixed direction destroys a connection."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, reduce
 from numbers import Integral
 from operator import or_
@@ -102,13 +102,15 @@ class GridReachStats:
     max_radius: int
     boundary_frac: float
 
-    CSV_HEADER = "p,width,height,samples,seed,mean_reach,max_reach,mean_radius,max_radius,boundary_frac"
-
     def csv_row(self) -> str:
-        return ",".join(str(getattr(self, name)) for name in self.CSV_HEADER.split(","))
+        """The record's fields in CSV_HEADER's order."""
+        return ",".join(str(value) for value in asdict(self).values())
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+GridReachStats.CSV_HEADER = ",".join(f.name for f in fields(GridReachStats))
 
 
 def grid_reach_stats(
@@ -160,6 +162,15 @@ def grid_reach_stats(
         max_radius=max_radius,
         boundary_frac=boundary_hits / samples,
     )
+
+
+def _check_witness_pair(spec: GridSpec, a: int, b: int) -> None:
+    """Refuse a search that no orientation can end: a vertex always reaches
+    itself, and a box one column wide has no horizontal edge to flip."""
+    if a == b:
+        raise InputError("a and b are the same vertex, which every orientation connects")
+    if spec.width < 2:
+        raise InputError(f"a {spec.width}x{spec.height} box has no horizontal edge to flip")
 
 
 @dataclass(frozen=True)
@@ -219,6 +230,7 @@ def find_nonmonotonicity_witness(
     spec, graph = grid.spec, grid.graph
     _check_vertex(graph, a)
     _check_vertex(graph, b)
+    _check_witness_pair(spec, a, b)
     desired = 1 if flip_direction == TOWARD_HIGH else 0
     horizontal = np.array(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp

@@ -210,31 +210,36 @@ def estimate_event(
     return EstimateReport(est, samples, se, ci, seed, streams)
 
 
-def paired_slacks(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slack(joint: np.ndarray) -> np.ndarray:
+    """P(i and j) - P(i)P(j) from joint matrices in the last two axes, each P(i) on the diagonal."""
+    p = np.diagonal(joint, axis1=-2, axis2=-1)
+    return joint - p[..., :, None] * p[..., None, :]
+
+
+def paired_slacks(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
     a (samples, k) indicator matrix, all events read on the same samples.
 
-    Returns two (k, k) arrays: the estimates, and their standard errors from
-    the same slack on min(_SLACK_BATCHES, samples) nonoverlapping batches.
+    Returns three (k, k) arrays: the joint count_ij/n, with each P(i) on its
+    diagonal; the slacks read from it; and their standard errors from the
+    same slack on min(_SLACK_BATCHES, samples) nonoverlapping batches.
     Counts are exact integers in float64, so every estimate is the same
     float as the scalar expression count_ij/n - (count_i/n)(count_j/n).
     """
     samples = cols.shape[0]
     x = cols.astype(np.float64)
-    p = x.sum(axis=0) / samples
-    est = (x.T @ x) / samples - p[:, None] * p[None, :]
+    joint = (x.T @ x) / samples
+    est = _slack(joint)
     b = min(_SLACK_BATCHES, samples)
     if b < 2:
-        return est, np.zeros_like(est)
+        return joint, est, np.zeros_like(est)
     bounds = [i * samples // b for i in range(b + 1)]
-    sizes = np.diff(bounds)[:, None]
-    batch_p = np.add.reduceat(x, bounds[:-1], axis=0) / sizes
-    batch_joint = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    batch_slacks = batch_joint / sizes[:, :, None] - batch_p[:, :, None] * batch_p[:, None, :]
+    sizes = np.diff(bounds)[:, None, None]
+    batch_slacks = _slack(np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]) / sizes)
     # each pair's batch values contiguous, so the reduction runs over them as
     # np.std over one pair's batch values would and gives the same floats
     per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))
-    return est, np.std(per_pair, axis=-1, ddof=1) / math.sqrt(b)
+    return joint, est, np.std(per_pair, axis=-1, ddof=1) / math.sqrt(b)
 
 
 def estimate_slack(
@@ -255,5 +260,5 @@ def estimate_slack(
     ev_a = EventExpr.connection(sources, target_a)
     ev_b = EventExpr.connection(sources, target_b)
     cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
-    est, se = paired_slacks(cols)
+    _, est, se = paired_slacks(cols)
     return float(est[0, 1]), float(se[0, 1])

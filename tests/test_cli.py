@@ -154,10 +154,10 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
-    def test_t1_montecarlo_needs_a_standard_error_to_report_a_violation(self, capsys):
-        # with at most 100 samples every batch holds one sample, whose slack
-        # is exactly 0, so every standard error is 0: a negative estimate
-        # then proves nothing and must not be reported
+    def test_t1_montecarlo_never_reports_a_violation(self, capsys):
+        # with at most 100 samples every batch holds one sample, so every
+        # standard error is 0; a negative estimate proves nothing at any
+        # sample size, and the sampled sweep reports none
         min_slacks = []
         for seed in range(10):
             for samples in (2, 5, 50, 100):
@@ -166,6 +166,20 @@ class TestVerify:
                 assert code == 0 and out["violations"] == [], (seed, samples, out)
                 min_slacks.append(out["min_slack"])
         assert min(min_slacks) < 0.0  # estimates below zero were seen, and not flagged
+
+    def test_t1_montecarlo_on_the_unbiased_star_exits_0_at_every_seed(self, capsys, tmp_path):
+        # Theorem 1 holds here, and 870 ordered leaf pairs have slack exactly
+        # 0, so many estimates fall below zero; none may be reported
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"0 {v} 0.5\n" for v in range(1, 31)))
+        flagged = []
+        for seed in range(40):
+            code, out = run_json(capsys, ["verify-t1", "--graph", str(star), "--mode", "montecarlo",
+                                          "--samples", "200", "--seed", str(seed)])
+            if code != 0 or out["violations"] != []:
+                flagged.append(seed)
+            assert out["instances_checked"] == 31 ** 3
+        assert flagged == []
 
     @pytest.mark.parametrize("flags", [["--samples", "-1"], ["--samples", "1"], ["--streams", "0"],
                                        ["--seed", "-1"]])
@@ -243,10 +257,10 @@ class TestGridCommands:
         )
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
-        assert out[0].startswith("p,width,height,samples,seed")
+        assert out[0] == "p,width,height,samples,seed,streams,mean_reach,max_reach,mean_radius,max_radius,boundary_frac"
         assert len(out) == 3
-        row_p0 = out[1].split(",")
-        assert float(row_p0[5]) == 1.0  # mean reach at p=0
+        row_p0 = dict(zip(out[0].split(","), out[1].split(",")))
+        assert (row_p0["streams"], float(row_p0["mean_reach"])) == ("1", 1.0)  # mean reach at p=0
 
     def test_grid_stats_json(self, capsys):
         code, out = run_json(
@@ -266,6 +280,20 @@ class TestGridCommands:
         assert code == 0
         assert out["found"] is True
         assert out["attempts"] <= 1_000_000
+
+    @pytest.mark.parametrize("argv, message", [
+        ("witness --grid 4x4 --a 1,1 --b 1,1 --seed 0", "a and b are the same vertex, which every orientation connects"),
+        ("witness --grid 16x12 --a 0,4 --b 0,4 --seed 0 --budget 100000",
+         "a and b are the same vertex, which every orientation connects"),
+        ("witness --grid 1x6 --a 0,0 --b 0,5 --seed 0", "a 1x6 box has no horizontal edge to flip"),
+    ])
+    def test_a_search_with_no_possible_witness_exits_3_before_any_draw(self, capsys, monkeypatch, argv, message):
+        def fail(*args, **kwargs):
+            pytest.fail("the search drew orientations")
+
+        monkeypatch.setattr("orientprob.grid._sampled_blocks", fail)
+        assert main(argv.split()) == 3
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     def test_witness_not_found_is_exhaustion(self, capsys):
         code, out = run_json(
@@ -505,6 +533,8 @@ class TestInProcessExitCodes:
         "exact --random n=x,m=3 --seed 1 --source 0 --target 1",
         "exact --random n=5,m=y --seed 1 --source 0 --target 1",
         "exact --random n=5,p=z --seed 1 --source 0 --target 1",
+        "exact --random n=5,n=7,m=3 --seed 1 --source 0 --target 6",
+        "exact --random n=5,m=3,m=4 --seed 1 --source 0 --target 1",
         "fourfunc --complete 4 --source 0 --a 1 --b 2 --tolerance nan",
         "fourfunc --complete 4 --source 0 --a 1 --b 2 --tolerance=-1e-9",
         "mcdiarmid --complete 4 --root 0 --tolerance -1",

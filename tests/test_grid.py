@@ -141,13 +141,14 @@ class TestReachStats:
                      "boundary_frac": 0.125}
         assert list(d) == ["p", "width", "height", "samples", "seed", "streams", "mean_reach", "max_reach",
                            "mean_radius", "max_radius", "boundary_frac"]
-        assert st.csv_row() == "0.3,8,6,2000,4,5.5,17,1.25,4,0.125"
+        assert st.csv_row() == "0.3,8,6,2000,4,3,5.5,17,1.25,4,0.125"
+        assert GridReachStats.CSV_HEADER == ",".join(d)
 
     def test_csv_row_matches_header(self):
-        st = grid_reach_stats(build_grid(GridSpec(3, 3, 0.5)), 0, samples=100, seed=1)
-        fields = st.csv_row().split(",")
-        assert len(fields) == len(st.CSV_HEADER.split(","))
-        assert float(fields[0]) == 0.5
+        st = grid_reach_stats(build_grid(GridSpec(3, 3, 0.5)), 0, samples=100, seed=1, streams=3)
+        row = dict(zip(st.CSV_HEADER.split(","), st.csv_row().split(",")))
+        assert len(row) == len(st.csv_row().split(","))
+        assert (float(row["p"]), row["streams"]) == (0.5, "3")
 
     def test_mean_reach_matches_percolation_cluster_mean(self):
         # unbiased orientation reach should match density-1/2 cluster sizes;
@@ -238,7 +239,7 @@ class TestWitnessSearch:
         (5, 4, 0.4, (0, 3), (4, 0), "toward-low", 3),
         (3, 3, 0.5, (0, 0), (2, 2), "toward-high", 4),
         (2, 1, 0.5, (0, 0), (1, 0), "toward-high", 5),  # never found
-        (4, 3, 0.5, (1, 1), (1, 1), "toward-low", 6),  # a = b: never lost
+        (2, 2, 0.5, (0, 0), (1, 0), "toward-high", 6),  # a rightward flip only opens a -> b: never lost
         (8, 1, 0.5, (0, 0), (7, 0), "toward-high", 7),  # most blocks hold no connected orientation
     ])
     def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
@@ -274,6 +275,21 @@ class TestWitnessSearch:
             find_nonmonotonicity_witness(
                 build_grid(GridSpec(2, 2, 0.5)), 0, 3, "sideways", budget=10, seed=0
             )
+
+    @pytest.mark.parametrize("width, height, a, b, message", [
+        (4, 4, 5, 5, "same vertex"),
+        (1, 6, 0, 5, "no horizontal edge"),
+        (1, 1, 0, 0, "same vertex"),
+    ])
+    def test_a_search_with_no_possible_witness_is_refused_before_any_draw(
+        self, monkeypatch, width, height, a, b, message
+    ):
+        def fail(*args, **kwargs):
+            pytest.fail("the search drew orientations")
+
+        monkeypatch.setattr(grid_module, "_sampled_blocks", fail)
+        with pytest.raises(InputError, match=message):
+            find_nonmonotonicity_witness(build_grid(GridSpec(width, height, 0.5)), a, b, "toward-low", 10, 0)
 
     def test_bad_vertex_rejected(self):
         with pytest.raises(InputError):

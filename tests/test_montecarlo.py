@@ -191,7 +191,7 @@ def test_paired_slacks_match_the_scalar_batch_loop(samples, batches, monkeypatch
     monkeypatch.setattr("orientprob.montecarlo._SLACK_BATCHES", batches)
     rng = np.random.default_rng(samples)
     cols = rng.random((samples, 4)) < [0.0, 0.3, 0.8, 1.0]
-    est, se = paired_slacks(cols)
+    joint, est, se = paired_slacks(cols)
     b = min(batches, samples)
     bounds = [i * samples // b for i in range(b + 1)]
     for i in range(4):
@@ -207,6 +207,7 @@ def test_paired_slacks_match_the_scalar_batch_loop(samples, batches, monkeypatch
                     int(cij[lo:hi].sum()) / nk
                     - (int(ci[lo:hi].sum()) / nk) * (int(cj[lo:hi].sum()) / nk)
                 )
+            assert joint[i, j] == int(cij.sum()) / samples
             assert est[i, j] == expected
             assert se[i, j] == batch_means_std_error(batch_slacks)
 

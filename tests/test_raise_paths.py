@@ -33,6 +33,7 @@ from orientprob import (
     reach_many,
     reachable_set_distribution,
     verify_theorem_1,
+    verify_theorem_2,
 )
 from orientprob.graphs import event_indicator_many
 
@@ -170,6 +171,18 @@ class TestInequalityChecks:
             alm_linusson_covariance(4, mode="montecarlo", samples=1)
         with pytest.raises(InputError, match="unknown source set policy"):
             list(SourceSetPolicy(kind="bogus").source_sets(3))
+
+    def test_a_nan_tolerance_is_refused_before_any_query(self, monkeypatch):
+        # slack < -nan is never true, and ~(slack >= -nan) always is
+        monkeypatch.setattr("orientprob.inequalities.ExactEngine._batch", lambda *a: pytest.fail("queried"))
+        g = complete_graph(4, 0.5)
+        q = SetFunctionQuadruple((0,), *(np.ones(2) for _ in range(4)))
+        for check in (lambda: verify_theorem_1(g, tolerance=np.nan),
+                      lambda: verify_theorem_1(g, mode="montecarlo", tolerance=np.nan, samples=10),
+                      lambda: verify_theorem_2(g, SourceSetPolicy.up_to_size(2), tolerance=np.nan),
+                      lambda: check_four_functions(q, tolerance=np.nan)):
+            with pytest.raises(InputError, match="tolerance must be a number, got nan"):
+                check()
 
     def test_quadruple_with_a_certain_frontier_vertex(self):
         # edge 0 -> 1 has bias 1, so every out-neighbourhood of 0 holds 1 and
