@@ -203,7 +203,7 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "witness":
         a, b = _parse_xy(args.a), _parse_xy(args.b)
         args.a, args.b = args.grid[0].id_of(*a), args.grid[0].id_of(*b)
-        _check_witness_pair(args.grid[0], args.a, args.b)
+        _check_witness_pair(args.grid[0], args.a, args.b, args.flip)
     command, random, random_sets = args.command, getattr(args, "random", None), getattr(args, "random_sets", None)
     draws = sampled or command == "witness" or random is not None or random_sets is not None
     enumerates = getattr(args, "method", None) == "enumeration" or command in ("mcdiarmid", "alm-linusson")

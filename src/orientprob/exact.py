@@ -117,14 +117,15 @@ def _enumeration_chunks(
     block: periodic ints, 2^e zeros then 2^e ones over and over. The high
     columns hold the constant bit e of `start`, 0 or all ones. The low
     columns and their weights are built once; each block only picks the high
-    columns and multiplies a copy of the low weights by the high factors.
-    Weights are doubled column by column in one buffer, so every row
-    multiplies its factors in edge order, as a per-orientation product would.
+    columns and writes the low weights times the high factors into one
+    buffer. Weights are doubled column by column, so every row multiplies
+    its factors in edge order, as a per-orientation product would.
 
-    The weights buffer is reused: each block overwrites the previous one, so
-    a caller must finish with a block before asking for the next. A negative
-    enum_cap raises InputError on the call, and a graph of more than enum_cap
-    edges ResourceLimitError.
+    The weights are read-only and their buffer is reused: each block
+    overwrites the previous one (a single block yields the low weights
+    themselves), so a caller must finish with a block before asking for the
+    next. A negative enum_cap raises InputError on the call, and a graph of
+    more than enum_cap edges ResourceLimitError.
     """
     if enum_cap < 0:
         raise InputError(f"enum_cap must be >= 0, got {enum_cap}")
@@ -151,12 +152,16 @@ def _enumeration_chunks(
             run = 1 << e
             np.multiply(low_weights[:run], biases[e], out=low_weights[run:2 * run])
             low_weights[:run] *= 1.0 - biases[e]
+        if m == low:
+            yield PackedBatch(tuple(low_columns), k), low_weights
+            return
         weights = np.empty(k, dtype=np.float64)
         for start in range(0, 1 << m, k):
             high = [(start >> e) & 1 for e in range(low, m)]
-            weights[:] = low_weights
-            for e, b in enumerate(high, start=low):
-                weights *= biases[e] if b else 1.0 - biases[e]
+            factors = [biases[e] if b else 1.0 - biases[e] for e, b in enumerate(high, start=low)]
+            np.multiply(low_weights, factors[0], out=weights)
+            for f in factors[1:]:
+                weights *= f
             yield PackedBatch(tuple(low_columns) + tuple(full if b else 0 for b in high), k), weights
 
     return blocks()
@@ -164,32 +169,52 @@ def _enumeration_chunks(
 
 def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENUM_CAP) -> ExactResult:
     """Exact event probability by summing over all 2^m orientations."""
+    (p,) = _enumerated_probs(graph, [event], enum_cap)
+    return ExactResult(p, "enumeration", 1 << graph.edge_count)
+
+
+def _enumerated_probs(graph: Graph, events: list[EventExpr], enum_cap: int) -> list[float]:
+    """Exact probability of each event, all read from one enumeration: each
+    block's indicator matrix is built once, sweeping each source set once,
+    and event j sums the weights of its rows block by block."""
     blocks = _enumeration_chunks(graph, enum_cap)
-    event.validate_for(graph)
-    total = 0.0
+    for event in events:
+        event.validate_for(graph)
+    totals = [0.0] * len(events)
     for batch, weights in blocks:
-        ind = event_indicator_many(graph, batch, [event])[:, 0]
-        total += float(weights[ind].sum())
-    return ExactResult(_clamp01(total), "enumeration", 1 << graph.edge_count)
+        ind = event_indicator_many(graph, batch, events)
+        for j in range(len(events)):
+            totals[j] += float(weights[ind[:, j]].sum())
+    return [_clamp01(total) for total in totals]
 
 
 def reachable_set_distribution(
     graph: Graph, sources: Iterable[int] | int, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
+    (law,) = _enumerated_law(graph, enum_cap, [_reach_rows(graph, sources)])
+    return law
+
+
+def _reach_rows(graph: Graph, sources: Iterable[int] | int) -> Callable[[PackedBatch], PackedBatch]:
+    """The reader of the sources' reach set in each row, sources checked."""
     src = _check_sources(graph, sources)
-    return _enumerated_law(graph, enum_cap, lambda batch: reach_many(graph, batch, src))
+    return lambda batch: reach_many(graph, batch, src)
 
 
 def _enumerated_law(
-    graph: Graph, enum_cap: int, rows: Callable[[PackedBatch], PackedBatch]
-) -> SubsetDistribution:
-    """Law of the vertex set that rows(block) marks in each orientation's
-    row, over all 2^m orientations of the graph and their probabilities."""
-    acc: dict[int, float] = {}
+    graph: Graph, enum_cap: int, readers: list[Callable[[PackedBatch], PackedBatch]]
+) -> list[SubsetDistribution]:
+    """For each reader, the law of the vertex set that reader(block) marks in
+    each orientation's row, over all 2^m orientations of the graph and their
+    probabilities. All laws are read from one enumeration, and each sums its
+    blocks in block order, as a pass of its own would."""
+    accs: list[dict[int, float]] = [{} for _ in readers]
     for batch, weights in _enumeration_chunks(graph, enum_cap):
-        _accumulate_row_masses(rows(batch), weights, acc)
-    return SubsetDistribution(tuple(range(graph.vertex_count)), acc)
+        for rows, acc in zip(readers, accs):
+            _accumulate_row_masses(rows(batch), weights, acc)
+    ground = tuple(range(graph.vertex_count))
+    return [SubsetDistribution(ground, acc) for acc in accs]
 
 
 def _accumulate_row_masses(rows: PackedBatch, weights: np.ndarray, acc: dict[int, float]) -> None:

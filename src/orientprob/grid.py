@@ -164,13 +164,21 @@ def grid_reach_stats(
     )
 
 
-def _check_witness_pair(spec: GridSpec, a: int, b: int) -> None:
+def _check_witness_pair(spec: GridSpec, a: int, b: int, flip_direction: str) -> None:
     """Refuse a search that no orientation can end: a vertex always reaches
-    itself, and a box one column wide has no horizontal edge to flip."""
+    itself, and a box one column wide has no horizontal edge to flip. On a
+    box one row high the only a -> b path is the row between them, all of
+    whose edges point toward b while a -> b holds, so a flip toward b can
+    only turn an edge off that path."""
     if a == b:
         raise InputError("a and b are the same vertex, which every orientation connects")
     if spec.width < 2:
         raise InputError(f"a {spec.width}x{spec.height} box has no horizontal edge to flip")
+    if spec.height == 1 and (b > a) == (flip_direction == TOWARD_HIGH):
+        side = "right" if b > a else "left"
+        raise InputError(
+            f"on a {spec.width}x1 box with b {side} of a, a {flip_direction} flip never breaks a -> b"
+        )
 
 
 @dataclass(frozen=True)
@@ -230,7 +238,7 @@ def find_nonmonotonicity_witness(
     spec, graph = grid.spec, grid.graph
     _check_vertex(graph, a)
     _check_vertex(graph, b)
-    _check_witness_pair(spec, a, b)
+    _check_witness_pair(spec, a, b, flip_direction)
     desired = 1 if flip_direction == TOWARD_HIGH else 0
     horizontal = np.array(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp

@@ -21,6 +21,7 @@ from .generators import complete_graph
 from .graphs import (
     EventExpr,
     Graph,
+    PackedBatch,
     RandomStream,
     _check_sources,
     _check_vertex,
@@ -34,12 +35,12 @@ from .exact import (
     ExactEngine,
     SubsetDistribution,
     _enumerated_law,
+    _enumerated_probs,
     _frontier,
     _neighbors_of,
+    _reach_rows,
     _subset_table,
     _vertex_mask,
-    brute_force_prob,
-    reachable_set_distribution,
 )
 
 HYPOTHESIS_TOL = 1e-12  # pure products of stored values
@@ -357,10 +358,15 @@ def percolation_cluster_distribution(
     if not (0.0 <= density <= 1.0):
         raise InputError(f"density {density} outside [0,1]")
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
-    # a cluster is the reach set when every open edge can be crossed both ways
-    return _enumerated_law(
-        uniform, enum_cap, lambda is_open: _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
-    )
+    (law,) = _enumerated_law(uniform, enum_cap, [_cluster_rows(graph, root)])
+    return law
+
+
+def _cluster_rows(graph: Graph, root: int) -> Callable[[PackedBatch], PackedBatch]:
+    """The reader of the root's cluster in each row, whose bit e tells
+    whether edge e is open: a cluster is the reach set when every open edge
+    can be crossed both ways."""
+    return lambda is_open: _reach_packed(graph, is_open.columns, is_open.columns, (root,), is_open.k)
 
 
 def total_variation(d1: SubsetDistribution, d2: SubsetDistribution) -> float:
@@ -374,10 +380,14 @@ def total_variation(d1: SubsetDistribution, d2: SubsetDistribution) -> float:
 def verify_mcdiarmid(graph: Graph, root: int, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
     """Total variation distance between the law of the reachable set from the
     root under an unbiased orientation and the law of the root's percolation
-    cluster at density 1/2. Expected to be 0."""
+    cluster at density 1/2. Expected to be 0.
+
+    Both laws are read from one enumeration of the unbiased copy of the
+    graph: a block's rows are orientations for the one law and open-edge
+    sets for the other, each of weight 2^-m."""
     unbiased = make_graph(graph.vertex_count, [(u, v, 0.5) for u, v, _ in graph.edges])
-    reach_law = reachable_set_distribution(unbiased, root, enum_cap)
-    cluster_law = percolation_cluster_distribution(graph, root, 0.5, enum_cap)
+    readers = [_reach_rows(unbiased, root), _cluster_rows(unbiased, root)]  # root checked before the cap
+    reach_law, cluster_law = _enumerated_law(unbiased, enum_cap, readers)
     return total_variation(reach_law, cluster_law)
 
 
@@ -423,9 +433,7 @@ def alm_linusson_covariance(
     ev_a = EventExpr.connection(a, s)  # a -> s
     ev_b = EventExpr.connection(s, b)  # s -> b
     if mode == "exact":
-        p_a = brute_force_prob(graph, ev_a, enum_cap).probability
-        p_b = brute_force_prob(graph, ev_b, enum_cap).probability
-        p_ab = brute_force_prob(graph, ev_a & ev_b, enum_cap).probability
+        p_a, p_b, p_ab = _enumerated_probs(graph, [ev_a, ev_b, ev_a & ev_b], enum_cap)
         return AlmLinussonResult(n, p_ab - p_a * p_b, p_a, p_b, p_ab, "exact")
     if mode == "montecarlo":
         _check_sample_counts(samples, streams, minimum=2)

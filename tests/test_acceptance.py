@@ -239,19 +239,20 @@ def test_criterion_7_alm_linusson():
 
 def test_criterion_8_witness_search():
     """8x7 grid, a=(0,2), b=(7,4), rightward flips: re-verified witness within
-    1e6 attempts at the documented seed; 2x1 case returns not-found."""
+    1e6 attempts at the documented seed; the 2x2 case with b right of a,
+    where a rightward flip only opens a -> b, returns not-found."""
     spec = GridSpec(8, 7, 0.5)
     grid = build_grid(spec)
     a, b = grid.id_of(0, 2), grid.id_of(7, 4)
     res = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=1_000_000, seed=WITNESS_SEED)
     found_ok = res.found and res.attempts <= 1_000_000 and res.witness.verify(grid.graph)
     res2 = find_nonmonotonicity_witness(
-        build_grid(GridSpec(2, 1, 0.5)), 0, 1, "toward-high", budget=1_000, seed=0
+        build_grid(GridSpec(2, 2, 0.5)), 0, 1, "toward-high", budget=1_000, seed=0
     )
     _report(
         "8 witness-search",
         found_ok and not res2.found,
-        f"(found at attempt {res.attempts} with seed {WITNESS_SEED}; 2x1 not-found)",
+        f"(found at attempt {res.attempts} with seed {WITNESS_SEED}; 2x2 not-found)",
     )
 
 

@@ -286,6 +286,10 @@ class TestGridCommands:
         ("witness --grid 16x12 --a 0,4 --b 0,4 --seed 0 --budget 100000",
          "a and b are the same vertex, which every orientation connects"),
         ("witness --grid 1x6 --a 0,0 --b 0,5 --seed 0", "a 1x6 box has no horizontal edge to flip"),
+        ("witness --grid 12x1 --a 0,0 --b 5,0 --seed 0",
+         "on a 12x1 box with b right of a, a toward-high flip never breaks a -> b"),
+        ("witness --grid 6x1 --a 5,0 --b 0,0 --flip toward-low --seed 0",
+         "on a 6x1 box with b left of a, a toward-low flip never breaks a -> b"),
     ])
     def test_a_search_with_no_possible_witness_exits_3_before_any_draw(self, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
@@ -298,7 +302,7 @@ class TestGridCommands:
     def test_witness_not_found_is_exhaustion(self, capsys):
         code, out = run_json(
             capsys,
-            ["witness", "--grid", "2x1", "--a", "0,0", "--b", "1,0", "--budget", "500", "--seed", "0"],
+            ["witness", "--grid", "2x2", "--a", "0,0", "--b", "1,0", "--budget", "500", "--seed", "0"],
         )
         assert code == 4
         assert out["found"] is False
@@ -317,7 +321,7 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("argv, verdict", [
         (["exact", "--complete", "4", "--source", "0", "--target", "1"], 0),
-        (["witness", "--grid", "2x1", "--a", "0,0", "--b", "1,0", "--budget", "10", "--seed", "0"], 4),
+        (["witness", "--grid", "2x2", "--a", "0,0", "--b", "1,0", "--budget", "10", "--seed", "0"], 4),
     ])
     def test_closed_pipe_keeps_the_exit_code(self, argv, verdict):
         read_end, write_end = os.pipe()
@@ -899,7 +903,7 @@ class TestOneOutputPath:
         ("mcdiarmid --complete 4 --root 0", 0),
         ("alm-linusson --n 4", 0),
         ("grid-stats --grid 3x3 --bias 0.3,0.6 --samples 50 --seed 1", 0),
-        ("witness --grid 2x1 --a 0,0 --b 1,0 --budget 10 --seed 0", 4),
+        ("witness --grid 2x2 --a 0,0 --b 1,0 --budget 10 --seed 0", 4),
     ])
     def test_main_emits_each_result_once(self, capsys, emitted, argv, code):
         assert main(argv.split()) == code

@@ -126,6 +126,18 @@ class TestEnumerationBlocks:
         _, weights = next(_enumeration_chunks(g))
         assert weights.tobytes() == expected.tobytes()
 
+    def test_one_block_yields_its_low_weights_without_a_second_buffer(self):
+        pairs = list(itertools.combinations(range(7), 2))[:18]
+        g = make_graph(7, [(u, v, 0.3) for u, v in pairs])
+        tracemalloc.start()
+        try:
+            _, weights = next(_enumeration_chunks(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2 MiB of weights and 18 columns of 32 KiB; a copy would take 2 MiB more
+        assert weights.nbytes == 8 << 18 and peak < 1.5 * weights.nbytes
+
     @pytest.mark.parametrize("chunk_bits", [2, 3])
     def test_oracle_results_do_not_depend_on_the_block_size(self, monkeypatch, chunk_bits):
         # dyadic biases keep every product and sum exact, so a difference can

@@ -208,13 +208,13 @@ class TestWitnessSearch:
         assert u // spec.width == v // spec.width  # a horizontal (rightward) flip
         assert w.orientation.bits[w.edge_index] == 0  # currently leftward
 
-    def test_single_edge_box_has_no_witness(self):
-        # flipping toward b can only create the connection, never destroy it
+    def test_single_edge_box_witness_flips_its_one_edge(self):
+        # a -> b holds only while the one edge points right; a leftward flip breaks it
         res = find_nonmonotonicity_witness(
-            build_grid(GridSpec(2, 1, 0.5)), 0, 1, "toward-high", budget=1_000, seed=0
+            build_grid(GridSpec(2, 1, 0.5)), 0, 1, "toward-low", budget=1_000, seed=0
         )
-        assert not res.found
-        assert res.attempts == 1_000
+        assert res.found
+        assert res.witness.edge_index == 0 and res.witness.orientation.bits == (1,)
 
     def test_leftward_flips_also_break_connections(self):
         grid = build_grid(GridSpec(8, 7, 0.5))
@@ -233,17 +233,17 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("block", [64, 256])
     @pytest.mark.parametrize("case", [
-        (8, 7, 0.5, (0, 2), (7, 4), "toward-high", 0),
-        (8, 7, 0.5, (0, 2), (7, 4), "toward-low", 1),
-        (5, 4, 0.6, (0, 1), (4, 2), "toward-high", 2),
-        (5, 4, 0.4, (0, 3), (4, 0), "toward-low", 3),
-        (3, 3, 0.5, (0, 0), (2, 2), "toward-high", 4),
-        (2, 1, 0.5, (0, 0), (1, 0), "toward-high", 5),  # never found
-        (2, 2, 0.5, (0, 0), (1, 0), "toward-high", 6),  # a rightward flip only opens a -> b: never lost
-        (8, 1, 0.5, (0, 0), (7, 0), "toward-high", 7),  # most blocks hold no connected orientation
+        (8, 7, 0.5, (0, 2), (7, 4), "toward-high", 0, True),
+        (8, 7, 0.5, (0, 2), (7, 4), "toward-low", 1, True),
+        (5, 4, 0.6, (0, 1), (4, 2), "toward-high", 2, True),
+        (5, 4, 0.4, (0, 3), (4, 0), "toward-low", 3, True),
+        (3, 3, 0.5, (0, 0), (2, 2), "toward-high", 4, True),
+        (2, 1, 0.5, (0, 0), (1, 0), "toward-low", 5, True),  # the first connected orientation is the witness
+        (2, 2, 0.5, (0, 0), (1, 0), "toward-high", 6, False),  # a rightward flip only opens a -> b: never lost
+        (8, 1, 0.5, (0, 0), (7, 0), "toward-low", 7, True),  # most blocks hold no connected orientation
     ])
     def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
-        width, height, bias, a_xy, b_xy, flip, seed = case
+        width, height, bias, a_xy, b_xy, flip, seed, found = case
         monkeypatch.setattr(grid_module, "_SEARCH_BLOCK", block)
         grid = build_grid(GridSpec(width, height, bias))
         graph = grid.graph
@@ -268,7 +268,7 @@ class TestWitnessSearch:
 
         expected = scalar_scan()
         assert find_nonmonotonicity_witness(grid, a, b, flip, budget, seed) == expected
-        assert expected.found == (seed < 5)
+        assert expected.found == found
 
     def test_bad_direction_rejected(self):
         with pytest.raises(InputError):
@@ -290,6 +290,33 @@ class TestWitnessSearch:
         monkeypatch.setattr(grid_module, "_sampled_blocks", fail)
         with pytest.raises(InputError, match=message):
             find_nonmonotonicity_witness(build_grid(GridSpec(width, height, 0.5)), a, b, "toward-low", 10, 0)
+
+    @pytest.mark.parametrize("width, a, b, flip, side", [
+        (12, 0, 5, "toward-high", "right"),
+        (6, 5, 0, "toward-low", "left"),
+        (2, 0, 1, "toward-high", "right"),
+        (2, 1, 0, "toward-low", "left"),
+    ])
+    def test_a_flip_toward_b_on_a_one_row_box_is_refused_before_any_draw(self, monkeypatch, width, a, b, flip, side):
+        # the row is the only a -> b path, and while a -> b holds its edges already point toward b
+        def fail(*args, **kwargs):
+            pytest.fail("the search drew orientations")
+
+        monkeypatch.setattr(grid_module, "_sampled_blocks", fail)
+        message = f"on a {width}x1 box with b {side} of a, a {flip} flip never breaks a -> b"
+        with pytest.raises(InputError, match=message):
+            find_nonmonotonicity_witness(build_grid(GridSpec(width, 1, 0.5)), a, b, flip, 10, 0)
+
+    @pytest.mark.parametrize("width, a, b, flip, attempts", [
+        (12, 0, 5, "toward-low", 18),
+        (6, 5, 0, "toward-high", 28),
+    ])
+    def test_a_flip_away_from_b_on_a_one_row_box_finds_a_witness(self, width, a, b, flip, attempts):
+        grid = build_grid(GridSpec(width, 1, 0.5))
+        res = find_nonmonotonicity_witness(grid, a, b, flip, budget=1_000_000, seed=0)
+        assert res.found and res.attempts == attempts
+        assert res.witness.verify(grid.graph)
+        assert min(a, b) <= res.witness.edge_index < max(a, b)  # edge i joins x = i and x = i + 1
 
     def test_bad_vertex_rejected(self):
         with pytest.raises(InputError):

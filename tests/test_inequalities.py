@@ -25,6 +25,7 @@ from orientprob import (
     merge_reports,
     percolation_cluster_distribution,
     random_graph,
+    reachable_set_distribution,
     total_variation,
     verify_mcdiarmid,
     verify_theorem_1,
@@ -334,6 +335,63 @@ class TestMcDiarmidCoupling:
         for i in range(8):
             g = random_graph(6, edge_count=9, biases="uniform", seed=71, index=i)
             assert verify_mcdiarmid(g, i % 6) <= 1e-9
+
+
+class TestOnePassChecks:
+    """verify_mcdiarmid and exact alm_linusson_covariance read every law and
+    event from one enumeration, equal bit for bit to separate passes."""
+
+    # (chunk_bits or None for the default, n, m, seed): row codes of one
+    # byte, two bytes, np.unique and byte rows; m = 19-21 runs 2-8 blocks
+    MCDIARMID_CASES = [(None, 1, 0, 0), (None, 3, 1, 1), (None, 6, 5, 2), (None, 9, 10, 3), (None, 8, 18, 4),
+                       (None, 9, 19, 5), (None, 17, 20, 6), (None, 8, 21, 7)] + [
+                      (bits, n, m, seed) for bits in (2, 3)
+                      for n, m, seed in [(1, 0, 0), (3, 1, 1), (5, 3, 2), (9, 5, 3), (17, 9, 4), (70, 6, 5)]]
+
+    @pytest.mark.parametrize("chunk_bits, n, m, seed", MCDIARMID_CASES)
+    def test_mcdiarmid_laws_equal_separate_passes(self, monkeypatch, chunk_bits, n, m, seed):
+        if chunk_bits is not None:
+            monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+        g = random_graph(n, edge_count=m, seed=seed)
+        root = seed % n
+        unbiased = make_graph(n, [(u, v, 0.5) for u, v, _ in g.edges])
+        reach = reachable_set_distribution(unbiased, root)
+        cluster = percolation_cluster_distribution(g, root, 0.5)
+        assert verify_mcdiarmid(g, root) == total_variation(reach, cluster)
+        readers = [exact._reach_rows(unbiased, root), inequalities._cluster_rows(unbiased, root)]
+        laws = exact._enumerated_law(unbiased, exact.DEFAULT_ENUM_CAP, readers)
+        assert [list(law.mass.items()) for law in laws] == [list(reach.mass.items()), list(cluster.mass.items())]
+
+    @pytest.mark.parametrize("chunk_bits, n", [(None, 3), (None, 4), (None, 5), (None, 6), (2, 3), (2, 4), (2, 5),
+                                               (3, 3), (3, 4), (3, 5)])
+    def test_alm_linusson_fields_equal_separate_passes(self, monkeypatch, chunk_bits, n):
+        if chunk_bits is not None:
+            monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+        g = complete_graph(n)
+        a_to_s, s_to_b = EventExpr.connection(1, 0), EventExpr.connection(0, 2)
+        p_a, p_b, p_ab = (brute_force_prob(g, ev).probability for ev in (a_to_s, s_to_b, a_to_s & s_to_b))
+        r = alm_linusson_covariance(n, "exact")
+        assert (r.p_a_to_s, r.p_s_to_b, r.p_joint, r.covariance) == (p_a, p_b, p_ab, p_ab - p_a * p_b)
+
+    def test_each_check_enumerates_once(self, monkeypatch):
+        calls = []
+        chunks = exact._enumeration_chunks
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].edge_count)
+            return chunks(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "_enumeration_chunks", counted)
+        verify_mcdiarmid(random_graph(9, edge_count=12, seed=3), 4)
+        assert calls == [12]
+        alm_linusson_covariance(5, "exact")
+        assert calls == [12, 10]
+
+    def test_mcdiarmid_checks_the_root_before_the_cap(self):
+        with pytest.raises(InputError, match="vertex 9 out of range"):
+            verify_mcdiarmid(complete_graph(7), 9, enum_cap=5)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 5"):
+            verify_mcdiarmid(complete_graph(7), 0, enum_cap=5)
 
 
 class TestAlmLinusson:
