@@ -8,17 +8,30 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property, reduce
 from numbers import Integral
 from operator import or_
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graphs import Graph, Orientation, PackedBatch, _check_bias, _check_vertex, make_graph, reach_many, reachable_set
-from .montecarlo import _sampled_blocks
+from .graphs import (
+    Graph,
+    Orientation,
+    PackedBatch,
+    RandomStream,
+    _check_bias,
+    _check_vertex,
+    make_graph,
+    reach_many,
+    reachable_set,
+)
+from .montecarlo import _WORD_BITS, _plane_counts, _sampled_blocks, _thresholds, draw_orientations
 
 TOWARD_HIGH = "toward-high"
 TOWARD_LOW = "toward-low"
 
-_SEARCH_BLOCK = 256
+# entries of any bool matrix the witness search builds (block rows or flipped
+# lanes, times edges) and bits of any raw draw (rows times bit planes)
+_SEARCH_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -213,6 +226,41 @@ class WitnessSearchResult:
         return self.witness is not None
 
 
+def _rows_within(cells_per_row: int) -> int:
+    """The most rows, in whole words of samples, whose cells fit in
+    _SEARCH_CELLS; at least one word."""
+    return _WORD_BITS * max(1, _SEARCH_CELLS // (_WORD_BITS * max(cells_per_row, 1)))
+
+
+def _doubling_blocks(graph: Graph, budget: int, seed: int) -> Iterator[tuple[int, PackedBatch]]:
+    """Stream 0's first `budget` orientations as (first row, batch) blocks
+    of 64, 128, 256, ... rows, up to the most whose bool rows fit
+    _SEARCH_CELLS. A block is drawn in pieces whose raw bit planes fit it
+    too."""
+    cap = _rows_within(graph.edge_count)
+    piece = _rows_within(int(_plane_counts(_thresholds(graph.bias_array)).sum()))
+    stream = RandomStream(seed, 0)
+    start, size = 0, _WORD_BITS
+    while start < budget:
+        count = min(size, budget - start)
+        yield start, draw_orientations(graph, [(stream, min(piece, count - d)) for d in range(0, count, piece)])
+        start += count
+        size = min(2 * size, cap)
+
+
+def _lane_chunks(wrong: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) indices of wrong's true entries in row-major order,
+    in runs of at most `size`. A run searches only the rows it touches, so
+    no index array holds more than size plus two rows' worth of entries."""
+    ends = np.cumsum(wrong.sum(axis=1))
+    for start in range(0, int(ends[-1]), size):
+        first = int(np.searchsorted(ends, start, side="right"))
+        last = int(np.searchsorted(ends, start + size, side="left"))
+        rows, cols = np.nonzero(wrong[first : last + 1])
+        skip = start - (int(ends[first - 1]) if first else 0)
+        yield rows[skip : skip + size] + first, cols[skip : skip + size]
+
+
 def find_nonmonotonicity_witness(
     grid: Grid,
     a: int,
@@ -227,10 +275,16 @@ def find_nonmonotonicity_witness(
     is leftward). Returns the first witness, re-verified, or a not-found
     report once the budget is exhausted.
 
-    The flips of a block are tested in one kernel call, one lane per
-    (connected orientation, horizontal edge not yet pointing that way) in
-    orientation-then-edge order; the first lane that loses a -> b is the
-    witness a scan of the flips one by one would find first."""
+    Orientations are drawn from stream 0 in order, in blocks of 64, 128,
+    256, ... rows, so an early witness pays for one small block and a long
+    search draws few large ones. The flips of a block are one lane per
+    (connected orientation, horizontal edge not yet pointing that way),
+    tested in orientation-then-edge order in chunks, and the search stops at
+    the first chunk with a lane that loses a -> b: that lane is the witness
+    a scan of the flips one by one would find first. _SEARCH_CELLS caps a
+    block's rows and a chunk's lanes, times the edges. Every draw but the
+    last holds whole words of samples, so neither the block nor the chunk
+    sizes change the result."""
     if budget < 1:
         raise InputError("budget must be >= 1")
     if flip_direction not in (TOWARD_HIGH, TOWARD_LOW):
@@ -243,20 +297,21 @@ def find_nonmonotonicity_witness(
     horizontal = np.array(
         [e for e, (u, v, _) in enumerate(graph.edges) if u // spec.width == v // spec.width], dtype=np.intp
     )
-    for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=_SEARCH_BLOCK):
+    lanes_per_chunk = max(1, _SEARCH_CELLS // graph.edge_count)
+    for start, batch in _doubling_blocks(graph, budget, seed):
         connected = np.flatnonzero(reach_many(graph, batch, a).column(b))
         if not len(connected):
             continue
         bits = batch.unpack()[connected]
-        lane_row, lane_edge = np.nonzero(bits[:, horizontal] != desired)
-        lane_edge = horizontal[lane_edge]
-        lanes = bits[lane_row]
-        lanes[np.arange(len(lane_row)), lane_edge] ^= True
-        lost = np.flatnonzero(~reach_many(graph, PackedBatch.pack(lanes), a).column(b))
-        if len(lost):
-            r, e = lane_row[lost[0]], int(lane_edge[lost[0]])
-            witness = Witness(Orientation(tuple(int(x) for x in bits[r])), e, flip_direction, a, b)
-            if not witness.verify(graph):
-                raise InternalError("witness failed re-verification")
-            return WitnessSearchResult(witness, int(rows[connected[r]]) + 1, budget, seed)
+        for lane_row, lane_edge in _lane_chunks(bits[:, horizontal] != desired, lanes_per_chunk):
+            lane_edge = horizontal[lane_edge]
+            lanes = bits[lane_row]
+            lanes[np.arange(len(lane_row)), lane_edge] ^= True
+            lost = np.flatnonzero(~reach_many(graph, PackedBatch.pack(lanes), a).column(b))
+            if len(lost):
+                r, e = lane_row[lost[0]], int(lane_edge[lost[0]])
+                witness = Witness(Orientation(tuple(int(x) for x in bits[r])), e, flip_direction, a, b)
+                if not witness.verify(graph):
+                    raise InternalError("witness failed re-verification")
+                return WitnessSearchResult(witness, start + int(connected[r]) + 1, budget, seed)
     return WitnessSearchResult(None, budget, budget, seed)

@@ -295,7 +295,7 @@ class TestGridCommands:
         def fail(*args, **kwargs):
             pytest.fail("the search drew orientations")
 
-        monkeypatch.setattr("orientprob.grid._sampled_blocks", fail)
+        monkeypatch.setattr("orientprob.grid.draw_orientations", fail)
         assert main(argv.split()) == 3
         assert capsys.readouterr() == ("", f"input error: {message}\n")
 

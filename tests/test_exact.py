@@ -176,7 +176,7 @@ class TestPinnedOracle:
         monkeypatch.setattr(exact, "_CHUNK_BITS", 6)  # 16 blocks
         assert brute_force_prob(g, event).probability.hex() == blocked
 
-    # nine vertices, so each row's code is two bytes and goes through np.unique
+    # nine vertices, so each row's code is a 16-bit integer and the masses are summed in a dense bincount
     LAW_GRAPH = dict(n=9, edge_count=9, seed=4)
 
     def test_reachable_set_distribution(self):

@@ -18,7 +18,7 @@ from orientprob import (
     grid_reach_stats,
     reachable_set,
 )
-from orientprob.graphs import reach_many
+from orientprob.graphs import PackedBatch, reach_many
 from orientprob.montecarlo import _sampled_blocks
 
 # documented fixed seed for the 8x7 witness search
@@ -231,7 +231,10 @@ class TestWitnessSearch:
         r2 = find_nonmonotonicity_witness(grid, a, b, "toward-high", budget=10_000, seed=3)
         assert r1 == r2
 
-    @pytest.mark.parametrize("block", [64, 256])
+    # 1 cell: blocks of one word and one lane per chunk; 25,000 cells: on
+    # the 8x7 box blocks of 64, 128 and then 256 rows, split into chunks of
+    # 257 lanes; None: the default budget
+    @pytest.mark.parametrize("cells", [1, 25_000, None])
     @pytest.mark.parametrize("case", [
         (8, 7, 0.5, (0, 2), (7, 4), "toward-high", 0, True),
         (8, 7, 0.5, (0, 2), (7, 4), "toward-low", 1, True),
@@ -241,10 +244,12 @@ class TestWitnessSearch:
         (2, 1, 0.5, (0, 0), (1, 0), "toward-low", 5, True),  # the first connected orientation is the witness
         (2, 2, 0.5, (0, 0), (1, 0), "toward-high", 6, False),  # a rightward flip only opens a -> b: never lost
         (8, 1, 0.5, (0, 0), (7, 0), "toward-low", 7, True),  # most blocks hold no connected orientation
+        (8, 7, 0.5, (0, 2), (7, 4), "toward-high", 24, True),  # attempt 332, in the third block
     ])
-    def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, block, case):
+    def test_batched_flips_equal_a_scalar_scan(self, monkeypatch, cells, case):
         width, height, bias, a_xy, b_xy, flip, seed, found = case
-        monkeypatch.setattr(grid_module, "_SEARCH_BLOCK", block)
+        if cells is not None:
+            monkeypatch.setattr(grid_module, "_SEARCH_CELLS", cells)
         grid = build_grid(GridSpec(width, height, bias))
         graph = grid.graph
         a, b = a_xy[1] * width + a_xy[0], b_xy[1] * width + b_xy[0]
@@ -253,8 +258,9 @@ class TestWitnessSearch:
         horizontal = [e for e, (u, v, _) in enumerate(graph.edges) if v == u + 1 and u // width == v // width]
 
         def scalar_scan():
-            # one reachable_set per flip, over the same orientations in the same order
-            for rows, batch in _sampled_blocks(graph, budget, seed, 1, row_cap=block):
+            # one reachable_set per flip, over the same orientations in the same
+            # order, drawn as one block
+            for rows, batch in _sampled_blocks(graph, budget, seed, 1):
                 for r, row in zip(rows, batch.unpack()):
                     orientation = Orientation(tuple(int(x) for x in row))
                     if b not in reachable_set(graph, orientation, a):
@@ -269,6 +275,26 @@ class TestWitnessSearch:
         expected = scalar_scan()
         assert find_nonmonotonicity_witness(grid, a, b, flip, budget, seed) == expected
         assert expected.found == found
+
+    def test_no_block_or_lanes_matrix_exceeds_the_cell_budget(self, monkeypatch):
+        # the largest bool matrices the search builds are the blocks it unpacks and the lanes it packs
+        sizes = []
+        pack, unpack = PackedBatch.pack, PackedBatch.unpack
+
+        def spy_pack(bits):
+            sizes.append(bits.size)
+            return pack(bits)
+
+        def spy_unpack(batch):
+            sizes.append(batch.k * len(batch.columns))
+            return unpack(batch)
+
+        monkeypatch.setattr(PackedBatch, "pack", staticmethod(spy_pack))
+        monkeypatch.setattr(PackedBatch, "unpack", spy_unpack)
+        grid = build_grid(GridSpec(30, 30, 0.5))
+        res = find_nonmonotonicity_witness(grid, grid.id_of(0, 15), grid.id_of(29, 15), "toward-high", 100_000, 3)
+        assert res.found and res.attempts == 5
+        assert sizes and max(sizes) <= grid_module._SEARCH_CELLS
 
     def test_bad_direction_rejected(self):
         with pytest.raises(InputError):
@@ -287,7 +313,7 @@ class TestWitnessSearch:
         def fail(*args, **kwargs):
             pytest.fail("the search drew orientations")
 
-        monkeypatch.setattr(grid_module, "_sampled_blocks", fail)
+        monkeypatch.setattr(grid_module, "draw_orientations", fail)
         with pytest.raises(InputError, match=message):
             find_nonmonotonicity_witness(build_grid(GridSpec(width, height, 0.5)), a, b, "toward-low", 10, 0)
 
@@ -302,7 +328,7 @@ class TestWitnessSearch:
         def fail(*args, **kwargs):
             pytest.fail("the search drew orientations")
 
-        monkeypatch.setattr(grid_module, "_sampled_blocks", fail)
+        monkeypatch.setattr(grid_module, "draw_orientations", fail)
         message = f"on a {width}x1 box with b {side} of a, a {flip} flip never breaks a -> b"
         with pytest.raises(InputError, match=message):
             find_nonmonotonicity_witness(build_grid(GridSpec(width, 1, 0.5)), a, b, flip, 10, 0)

@@ -108,20 +108,24 @@ class TestEstimateEvent:
         def run():
             cols = sampled_event_columns(g, events, 500, seed=3, streams=3)
             return (cols, grid_reach_stats(build_grid(GridSpec(4, 3, 0.6)), 0, 500, seed=3, streams=2),
-                    find_nonmonotonicity_witness(box, a, b, "toward-high", budget=10_000, seed=3))
+                    [find_nonmonotonicity_witness(box, a, b, "toward-high", budget=10_000, seed=s) for s in (3, 24)])
 
-        cols, stats, witness = run()
-        assert witness.found
+        cols, stats, witnesses = run()
+        assert all(w.found for w in witnesses)
+        assert witnesses[1].attempts == 332  # past the blocks of 64 and 128 rows
         for cap in (1, 1000, 2000):  # from one word of 64 samples per block to several
             monkeypatch.setattr(mc, "_CHUNK_WORDS", cap)
-            capped_cols, capped_stats, capped_witness = run()
+            capped_cols, capped_stats, capped_witnesses = run()
             assert np.array_equal(capped_cols, cols)
             assert capped_stats == stats
-            assert capped_witness == witness
+            assert capped_witnesses == witnesses
         monkeypatch.undo()
-        for block in (64, 448):  # one word and seven; blocks hold whole words
-            monkeypatch.setattr(grid, "_SEARCH_BLOCK", block)
-            assert run()[2] == witness
+        # search blocks capped at one word and at seven, whole words either
+        # way, and chunks of 64 lanes, 448 lanes and one lane
+        m = box.graph.edge_count
+        for cells in (64 * m, 448 * m, 1):
+            monkeypatch.setattr(grid, "_SEARCH_CELLS", cells)
+            assert run()[2] == witnesses
 
     def test_ci_contains_estimate(self, triangle):
         r = estimate_event(triangle, conn(0, 1), samples=10_000, seed=2)
