@@ -234,16 +234,16 @@ def _rows_within(cells_per_row: int) -> int:
 
 def _doubling_blocks(graph: Graph, budget: int, seed: int) -> Iterator[tuple[int, PackedBatch]]:
     """Stream 0's first `budget` orientations as (first row, batch) blocks
-    of 64, 128, 256, ... rows, up to the most whose bool rows fit
-    _SEARCH_CELLS. A block is drawn in pieces whose raw bit planes fit it
-    too."""
-    cap = _rows_within(graph.edge_count)
-    piece = _rows_within(int(_plane_counts(_thresholds(graph.bias_array)).sum()))
+    of 64, 128, 256, ... rows, up to the most whose bool rows and raw bit
+    planes fit _SEARCH_CELLS. It keeps the stream order and whole-word draws
+    of montecarlo._sampled_blocks, with a block size that doubles."""
+    planes = int(_plane_counts(_thresholds(graph.bias_array)).sum())
+    cap = _rows_within(max(graph.edge_count, planes))
     stream = RandomStream(seed, 0)
     start, size = 0, _WORD_BITS
     while start < budget:
         count = min(size, budget - start)
-        yield start, draw_orientations(graph, [(stream, min(piece, count - d)) for d in range(0, count, piece)])
+        yield start, draw_orientations(graph, [(stream, count)])
         start += count
         size = min(2 * size, cap)
 

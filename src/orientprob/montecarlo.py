@@ -135,16 +135,17 @@ def stream_sample_counts(samples: int, streams: int) -> list[int]:
     return [(samples - t + streams - 1) // streams for t in range(min(samples, streams))]
 
 
-def _sampled_blocks(
-    graph: Graph, samples: int, seed: int, streams: int, row_cap: int = _CHUNK_ROWS
-) -> Iterator[tuple[np.ndarray, PackedBatch]]:
+def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iterator[tuple[np.ndarray, PackedBatch]]:
     """The seeded orientations as blocks (rows, batch): the global indices of
     the block's samples and their packed directions. Sample i is drawn from
     stream i mod streams at counter i div streams. A block holds at most
-    row_cap rows, and no more than _CHUNK_WORDS raw words or words of lanes,
-    but at least one word of samples. It takes the streams in order and may
-    join the end of one to the start of the next. Every draw but a stream's
-    last holds whole words, so the block size never changes the samples.
+    _CHUNK_ROWS rows, and no more than _CHUNK_WORDS raw words or words of
+    lanes, but at least one word of samples. It takes the streams in order
+    and may join the end of one to the start of the next. Every draw but a
+    stream's last holds whole words, so the block size never changes the
+    samples. grid._doubling_blocks draws stream 0 by the same rules in
+    doubling blocks for the witness search; a change to the order here must
+    change it there too.
 
     The counts are checked on the call, not on the first block, so a bad
     count is reported before a caller sizes anything by it.
@@ -152,7 +153,7 @@ def _sampled_blocks(
     _check_sample_counts(samples, streams)
     planes = int(_plane_counts(_thresholds(graph.bias_array)).sum())
     words_per_sample_word = max(planes, graph.edge_count, 1)
-    rows_per_chunk = _WORD_BITS * max(1, min(row_cap // _WORD_BITS, _CHUNK_WORDS // words_per_sample_word))
+    rows_per_chunk = _WORD_BITS * max(1, min(_CHUNK_ROWS // _WORD_BITS, _CHUNK_WORDS // words_per_sample_word))
 
     def blocks() -> Iterator[tuple[np.ndarray, PackedBatch]]:
         rows: list[np.ndarray] = []
