@@ -85,7 +85,8 @@ def draw_orientations(graph: Graph, draws: Sequence[tuple[RandomStream, int]]) -
     counts = _plane_counts(q)
     offsets = np.cumsum(counts) - counts
     planes_per_word = int(counts.sum())
-    groups = [(c, np.flatnonzero(counts == c)) for c in np.unique(counts).tolist()]
+    # not np.unique, whose first call in a process imports numpy.ma
+    groups = [(c, np.flatnonzero(counts == c)) for c in sorted(set(counts.tolist()))]
     total = sum(count for _, count in draws)
     words_total = -(-total // _WORD_BITS)
     lanes = np.zeros((words_total + 1, graph.edge_count), dtype=np.uint64)  # a spare word for the carry
@@ -135,10 +136,13 @@ def stream_sample_counts(samples: int, streams: int) -> list[int]:
     return [(samples - t + streams - 1) // streams for t in range(min(samples, streams))]
 
 
-def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iterator[tuple[np.ndarray, PackedBatch]]:
-    """The seeded orientations as blocks (rows, batch): the global indices of
-    the block's samples and their packed directions. Sample i is drawn from
-    stream i mod streams at counter i div streams. A block holds at most
+def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iterator[tuple[list[slice], PackedBatch]]:
+    """The seeded orientations as blocks (rows, batch): one slice of global
+    sample indices per draw of the block, in draw order, and the block's
+    packed directions. Sample i is drawn from stream i mod streams at
+    counter i div streams, so a draw of c samples from stream t that starts
+    at its counter d holds the samples t + (d .. d+c-1) * streams, the slice
+    slice(t + d * streams, t + (d + c) * streams, streams). A block holds at most
     _CHUNK_ROWS rows, and no more than _CHUNK_WORDS raw words or words of
     lanes, but at least one word of samples. It takes the streams in order
     and may join the end of one to the start of the next. Every draw but a
@@ -155,8 +159,8 @@ def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iter
     words_per_sample_word = max(planes, graph.edge_count, 1)
     rows_per_chunk = _WORD_BITS * max(1, min(_CHUNK_ROWS // _WORD_BITS, _CHUNK_WORDS // words_per_sample_word))
 
-    def blocks() -> Iterator[tuple[np.ndarray, PackedBatch]]:
-        rows: list[np.ndarray] = []
+    def blocks() -> Iterator[tuple[list[slice], PackedBatch]]:
+        rows: list[slice] = []
         draws: list[tuple[RandomStream, int]] = []
         room = rows_per_chunk
         for t, n_t in enumerate(stream_sample_counts(samples, streams)):
@@ -168,14 +172,14 @@ def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iter
                     c -= c % _WORD_BITS  # the stream goes on after this draw
                 if c:
                     draws.append((stream, c))
-                    rows.append(t + np.arange(done, done + c) * streams)
+                    rows.append(slice(t + done * streams, t + (done + c) * streams, streams))
                     done += c
                     room -= c
                 if not c or not room:
-                    yield np.concatenate(rows), draw_orientations(graph, draws)
+                    yield rows, draw_orientations(graph, draws)
                     rows, draws, room = [], [], rows_per_chunk
         if draws:
-            yield np.concatenate(rows), draw_orientations(graph, draws)
+            yield rows, draw_orientations(graph, draws)
 
     return blocks()
 
@@ -188,14 +192,20 @@ def sampled_event_columns(
     streams: int = 1,
 ) -> np.ndarray:
     """Indicator matrix of shape (samples, len(events)), rows in global
-    sample order. All events are evaluated on the same orientations."""
+    sample order. All events are evaluated on the same orientations. Each
+    draw's rows of a block are written through its slice of sample indices."""
     events = list(events)
     blocks = _sampled_blocks(graph, samples, seed, streams)
     for ev in events:
         ev.validate_for(graph)
     out = np.zeros((samples, len(events)), dtype=bool)
     for rows, batch in blocks:
-        out[rows] = event_indicator_many(graph, batch, events)
+        block = event_indicator_many(graph, batch, events)
+        at = 0
+        for run in rows:
+            part = out[run]
+            part[:] = block[at : at + len(part)]
+            at += len(part)
     return out
 
 
@@ -224,19 +234,20 @@ def paired_slacks(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Returns three (k, k) arrays: the joint count_ij/n, with each P(i) on its
     diagonal; the slacks read from it; and their standard errors from the
     same slack on min(_SLACK_BATCHES, samples) nonoverlapping batches.
-    Counts are exact integers in float64, so every estimate is the same
+    The full counts are the sums of the batches' counts. Counts are exact
+    integers in float64, far below 2^53, so every estimate is the same
     float as the scalar expression count_ij/n - (count_i/n)(count_j/n).
     """
     samples = cols.shape[0]
     x = cols.astype(np.float64)
-    joint = (x.T @ x) / samples
-    est = _slack(joint)
     b = min(_SLACK_BATCHES, samples)
+    bounds = [i * samples // b for i in range(b + 1)]
+    counts = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    joint = counts.sum(axis=0) / samples
+    est = _slack(joint)
     if b < 2:
         return joint, est, np.zeros_like(est)
-    bounds = [i * samples // b for i in range(b + 1)]
-    sizes = np.diff(bounds)[:, None, None]
-    batch_slacks = _slack(np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]) / sizes)
+    batch_slacks = _slack(counts / np.diff(bounds)[:, None, None])
     # each pair's batch values contiguous, so the reduction runs over them as
     # np.std over one pair's batch values would and gives the same floats
     per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))

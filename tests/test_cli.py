@@ -336,6 +336,32 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
 
 
+class TestFirstSamplingRun:
+    """A one-shot sampling run does not import numpy.ma, which np.unique's
+    first call in a process loads at a cost of about 10 ms."""
+
+    @pytest.mark.parametrize("command", [
+        "mc --grid 5x4 --source 0 --target 19 --samples 1000 --seed 1",
+        "mc-slack --complete 5 --source 0 --a 1 --b 2 --samples 1000 --seed 1",
+        "grid-stats --grid 5x4 --bias 0.3,0.5 --samples 1000 --seed 1",
+        "witness --grid 5x4 --a 0,1 --b 4,2 --seed 18",
+        "verify-t1 --complete 4 --mode montecarlo --samples 1000 --seed 1",
+        "alm-linusson --n 4 --mode montecarlo --samples 1000 --seed 1",
+    ])
+    def test_imports_no_numpy_ma(self, command):
+        code = (
+            "import sys\n"
+            "from orientprob.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(orientprob.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, *command.split()],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 class TestUsage:
     def test_no_subcommand(self):
         assert main([]) == 2

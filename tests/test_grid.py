@@ -259,9 +259,11 @@ class TestWitnessSearch:
 
         def scalar_scan():
             # one reachable_set per flip, over the same orientations in the same
-            # order, drawn as one block
+            # order, drawn as one block; each draw's slice expanded into the
+            # global index of every sample
             for rows, batch in _sampled_blocks(graph, budget, seed, 1):
-                for r, row in zip(rows, batch.unpack()):
+                indices = [i for run in rows for i in range(run.start, run.stop, run.step)]
+                for r, row in zip(indices, batch.unpack()):
                     orientation = Orientation(tuple(int(x) for x in row))
                     if b not in reachable_set(graph, orientation, a):
                         continue

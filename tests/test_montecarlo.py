@@ -19,6 +19,7 @@ from orientprob import (
     make_graph,
     random_graph,
 )
+from orientprob.graphs import event_indicator_many
 from orientprob.montecarlo import (
     _compare_planes,
     _plane_counts,
@@ -227,6 +228,36 @@ class TestSampledColumns:
         ]
         # stream 0's own sequence (streams=1 uses only stream 0)
         assert (cols4[0::4, 0] == cols_single[0][:, 0]).all()
+
+    @pytest.mark.parametrize("samples, streams, block_words", [
+        (1000, 1, None),
+        (1000, 3, None),
+        (1000, 3, 4),  # blocks of 256 rows, one joining the end of stream 0 to the start of stream 1
+        (500, 70, None),  # a stream count that is not a multiple of 64, under one word per stream
+        (5, 8, None),  # streams 5-7 come after the last sample and draw none
+        (70_001, 2, None),  # past the first block of 65,536 rows
+    ])
+    def test_every_stream_lands_on_its_own_rows(self, monkeypatch, samples, streams, block_words):
+        # rows t, t + streams, t + 2*streams, ... hold stream t's orientations
+        # in order, read from the stream drawn alone
+        import orientprob.montecarlo as mc
+
+        g = random_graph(6, edge_count=9, biases="uniform", seed=5)
+        events = [conn(0, 5), conn({1, 2}, 4) & conn({1, 2}, 3), conn(3, 0)]
+        if block_words is not None:
+            planes = int(_plane_counts(_thresholds(g.bias_array)).sum())
+            monkeypatch.setattr(mc, "_CHUNK_WORDS", block_words * max(planes, g.edge_count))
+        cols = sampled_event_columns(g, events, samples, seed=11, streams=streams)
+        for t in range(streams):
+            n_t = len(range(t, samples, streams))
+            expected = np.zeros((0, len(events)), dtype=bool)
+            if n_t:
+                expected = event_indicator_many(g, draw_orientations(g, [(RandomStream(11, t), n_t)]), events)
+            assert np.array_equal(cols[t::streams], expected)
+        if 1 < streams < samples:
+            # some block holds the draws of two streams
+            blocks = mc._sampled_blocks(g, samples, 11, streams)
+            assert any(len({run.start % streams for run in rows}) > 1 for rows, _ in blocks)
 
 
 DRAW_BIASES = [0.0, 1.0, 0.5, 0.25, 0.75, 0.1, 1 / 3, 0.6, 2.0**-60, 1 - 2.0**-53]
