@@ -1,10 +1,10 @@
 """Exact probabilities of connection events.
 
-Two routes are provided: full enumeration over all 2^m orientations (the
-oracle), and a recursion that conditions on the random set of vertices that
-receive an edge oriented out of the current source set, then recurses on the
-graph with the sources deleted. The two must agree to 1e-9 on any instance
-small enough for both.
+Two routes are provided: enumeration of the orientations (the oracle), and a
+recursion that conditions on the random set of vertices that receive an edge
+oriented out of the current source set, then recurses on the graph with the
+sources deleted. The two must agree to 1e-9 on any instance small enough for
+both.
 
 The recursion is memoized under a canonical key per subproblem (the
 sources, the target mask, and the sources together with the components of
@@ -13,14 +13,18 @@ is expanded once, and subproblems that differ by a swap of twin vertices
 share one key (see ExactEngine). The engine also keeps three caches for its
 lifetime, components, N(S) and frontier tables, each emptied when full.
 
-Enumeration runs in blocks of up to 2^_CHUNK_BITS orientations through the
-bit-sliced kernel `reach_many`, as packed edge columns. The low edge columns
-and their weights are the same in every block and are built once; a block
-only picks the constant high columns and scales the weights by their
-factors. The packed vertex columns the kernel returns stay packed until
-read: an event's indicator is the AND of its atoms' k-bit reach columns,
-unpacked once, and a set law builds each row's code bytes straight from the
-vertex columns, so no (k, n) bool matrix of reach rows is made.
+Enumeration sums the 2^m orientations of the m edges that the sources'
+components hold, and no others: an event or law read from the sources never
+crosses another edge, and the two directions of such an edge have weights
+that sum to 1, so it takes the constant column 0 and the weight factor 1.
+The enumerated orientations run in blocks of up to 2^_CHUNK_BITS through the
+bit-sliced kernel `reach_many`, as packed edge columns, vertices keeping
+their ids. The low edge columns and their weights are the same in every
+block and are built once; a block only picks the constant high columns and
+scales the weights by their factors. The packed vertex columns the kernel
+returns stay packed until read: an event's indicator is the AND of its
+atoms' k-bit reach columns, unpacked once, and a set law codes each row from
+its nonzero vertex columns, so no (k, n) bool matrix of reach rows is made.
 """
 
 from __future__ import annotations
@@ -106,16 +110,17 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _enumeration_chunks(
-    graph: Graph, enum_cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[tuple[PackedBatch, np.ndarray]]:
-    """All 2^m orientations with their probabilities, in packed blocks of
-    k = 2^min(m, _CHUNK_BITS) rows; row i of the block at `start` is
-    orientation start + i, whose bit e is the direction of edge e.
+def _enumeration_chunks(graph: Graph, enum_cap: int, part: int) -> Iterator[tuple[PackedBatch, np.ndarray]]:
+    """All 2^m orientations of the m edges of `part`, a vertex mask closed
+    under neighbours, with their probabilities, in packed blocks of
+    k = 2^min(m, _CHUNK_BITS) rows. A block has one column per edge of the
+    graph, in graph order: row i of the block at `start` gives the part's
+    j-th edge bit j of start + i as its direction, and every other edge the
+    constant 0 with weight factor 1.
 
-    The low columns e < log2 k hold bit e of the row index, the same in every
-    block: periodic ints, 2^e zeros then 2^e ones over and over. The high
-    columns hold the constant bit e of `start`, 0 or all ones. The low
+    The low columns j < log2 k hold bit j of the row index, the same in every
+    block: periodic ints, 2^j zeros then 2^j ones over and over. The high
+    columns hold the constant bit j of `start`, 0 or all ones. The low
     columns and their weights are built once; each block only picks the high
     columns and writes the low weights times the high factors into one
     buffer. Weights are doubled column by column, so every row multiplies
@@ -124,75 +129,95 @@ def _enumeration_chunks(
     The weights are read-only and their buffer is reused: each block
     overwrites the previous one (a single block yields the low weights
     themselves), so a caller must finish with a block before asking for the
-    next. A negative enum_cap raises InputError on the call, and a graph of
+    next. A negative enum_cap raises InputError on the call, and a part of
     more than enum_cap edges ResourceLimitError.
     """
     if enum_cap < 0:
         raise InputError(f"enum_cap must be >= 0, got {enum_cap}")
-    m = graph.edge_count
+    edges = [e for e, (u, _, _) in enumerate(graph.edges) if part >> u & 1]
+    m = len(edges)
     if m > enum_cap:
         raise ResourceLimitError(f"enumeration over m={m} edges exceeds cap {enum_cap}")
     low = min(m, _CHUNK_BITS)
     k = 1 << low
     full = (1 << k) - 1
-    biases = graph.bias_array
+    biases = graph.bias_array[edges]
 
     def blocks() -> Iterator[tuple[PackedBatch, np.ndarray]]:
-        low_columns = []
-        for e in range(low):
-            run = 1 << e
+        columns = [0] * graph.edge_count
+        for j in range(low):
+            run = 1 << j
             column, period = ((1 << run) - 1) << run, 2 * run
             while period < k:
                 column |= column << period
                 period *= 2
-            low_columns.append(column)
+            columns[edges[j]] = column
         low_weights = np.empty(k, dtype=np.float64)
         low_weights[0] = 1.0
-        for e in range(low):
-            run = 1 << e
-            np.multiply(low_weights[:run], biases[e], out=low_weights[run:2 * run])
-            low_weights[:run] *= 1.0 - biases[e]
+        for j in range(low):
+            run = 1 << j
+            np.multiply(low_weights[:run], biases[j], out=low_weights[run:2 * run])
+            low_weights[:run] *= 1.0 - biases[j]
         if m == low:
-            yield PackedBatch(tuple(low_columns), k), low_weights
+            yield PackedBatch(tuple(columns), k), low_weights
             return
         weights = np.empty(k, dtype=np.float64)
         for start in range(0, 1 << m, k):
-            high = [(start >> e) & 1 for e in range(low, m)]
-            factors = [biases[e] if b else 1.0 - biases[e] for e, b in enumerate(high, start=low)]
+            high = [(start >> j) & 1 for j in range(low, m)]
+            factors = [biases[j] if b else 1.0 - biases[j] for j, b in enumerate(high, start=low)]
             np.multiply(low_weights, factors[0], out=weights)
             for f in factors[1:]:
                 weights *= f
-            yield PackedBatch(tuple(low_columns) + tuple(full if b else 0 for b in high), k), weights
+            for e, b in zip(edges[low:], high):
+                columns[e] = full if b else 0
+            yield PackedBatch(tuple(columns), k), weights
 
     return blocks()
 
 
+def _part_of(graph: Graph, src_mask: int) -> int:
+    """Mask of the vertices of the components that hold the sources."""
+    part, new = 0, src_mask
+    while new:
+        part |= new
+        new = _neighbors_of(graph, new) & ~part
+    return part
+
+
 def brute_force_prob(graph: Graph, event: EventExpr, enum_cap: int = DEFAULT_ENUM_CAP) -> ExactResult:
-    """Exact event probability by summing over all 2^m orientations."""
-    (p,) = _enumerated_probs(graph, [event], enum_cap)
-    return ExactResult(p, "enumeration", 1 << graph.edge_count)
+    """Exact event probability by summing over the 2^m orientations of the m
+    edges of the components that hold the event's sources."""
+    (p,), rows = _enumerated_probs(graph, [event], enum_cap)
+    return ExactResult(p, "enumeration", rows)
 
 
-def _enumerated_probs(graph: Graph, events: list[EventExpr], enum_cap: int) -> list[float]:
-    """Exact probability of each event, all read from one enumeration: each
-    block's indicator matrix is built once, sweeping each source set once,
-    and event j sums the weights of its rows block by block."""
-    blocks = _enumeration_chunks(graph, enum_cap)
+def _enumerated_probs(graph: Graph, events: list[EventExpr], enum_cap: int) -> tuple[list[float], int]:
+    """Exact probability of each event, all read from one enumeration of
+    the components that hold the events' in-range sources, with the number
+    of orientations summed: each block's indicator matrix is built once,
+    sweeping each source set once, and event j sums the weights of its rows
+    block by block. The cap is checked before the events' vertices."""
+    n = graph.vertex_count
+    in_range = {s for event in events for sources, _ in event.atoms for s in sources if 0 <= s < n}
+    blocks = _enumeration_chunks(graph, enum_cap, _part_of(graph, _vertex_mask(graph, in_range)))
     for event in events:
         event.validate_for(graph)
     totals = [0.0] * len(events)
+    rows = 0
     for batch, weights in blocks:
         ind = event_indicator_many(graph, batch, events)
         for j in range(len(events)):
             totals[j] += float(weights[ind[:, j]].sum())
-    return [_clamp01(total) for total in totals]
+        rows += batch.k
+    return [_clamp01(total) for total in totals], rows
 
 
 def reachable_set_distribution(
     graph: Graph, sources: Iterable[int] | int, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> SubsetDistribution:
     """Exact law of the reachable set from the sources, over all vertices."""
-    (law,) = _enumerated_law(graph, enum_cap, [_reach_rows(graph, sources)])
+    src = _check_sources(graph, sources)
+    (law,) = _enumerated_law(graph, enum_cap, [_reach_rows(graph, src)], src)
     return law
 
 
@@ -203,14 +228,21 @@ def _reach_rows(graph: Graph, sources: Iterable[int] | int) -> Callable[[PackedB
 
 
 def _enumerated_law(
-    graph: Graph, enum_cap: int, readers: list[Callable[[PackedBatch], PackedBatch]]
+    graph: Graph, enum_cap: int, readers: list[Callable[[PackedBatch], PackedBatch]], sources: Iterable[int]
 ) -> list[SubsetDistribution]:
     """For each reader, the law of the vertex set that reader(block) marks in
-    each orientation's row, over all 2^m orientations of the graph and their
-    probabilities. All laws are read from one enumeration, and each sums its
-    blocks in block order, as a pass of its own would."""
+    each orientation's row, over the orientations of the components that
+    hold the sources, whose vertices are the only ones a reader may mark.
+    All laws are read from one enumeration, and each sums its blocks in
+    block order, as a pass of its own would. As a row is coded in 64 bits,
+    components of more than 64 vertices in all raise ResourceLimitError
+    before the first block."""
+    part = _part_of(graph, _vertex_mask(graph, sources))
+    blocks = _enumeration_chunks(graph, enum_cap, part)
+    if part.bit_count() > 64:
+        raise ResourceLimitError(f"a set law over {part.bit_count()} vertices exceeds 64")
     accs: list[dict[int, float]] = [{} for _ in readers]
-    for batch, weights in _enumeration_chunks(graph, enum_cap):
+    for batch, weights in blocks:
         for rows, acc in zip(readers, accs):
             _accumulate_row_masses(rows(batch), weights, acc)
     ground = tuple(range(graph.vertex_count))
@@ -219,33 +251,34 @@ def _enumerated_law(
 
 def _accumulate_row_masses(rows: PackedBatch, weights: np.ndarray, acc: dict[int, float]) -> None:
     """Add row i's weight to acc[mask], bit j of mask set when bit i of
-    rows.columns[j] is. Up to 64 columns, row i's code is its mask itself,
-    an integer whose bit j is bit i of column j; codes of up to 16 bits are
-    summed in a dense bincount, wider ones through a 1-D np.unique. Past 64
-    columns, byte j >> 3 of row i's code takes bit i of column j at bit
-    j & 7, and the codes are told apart as byte rows. On every path a mask
-    sums its rows' weights in row order."""
-    n = len(rows.columns)
-    if n <= 64:
-        dtype = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint64
-        code = np.zeros(rows.k, dtype=dtype)
-        for j in range(n):
-            code |= rows.column(j).view(np.uint8).astype(dtype, copy=False) << j
-        if n <= 16:
-            present = np.flatnonzero(np.bincount(code, minlength=256))
-            sums = np.bincount(code, weights=weights, minlength=256)[present]
-            masks = present.tolist()
-        else:
-            uniq, inv = np.unique(code, return_inverse=True)
-            sums = np.bincount(inv, weights=weights, minlength=len(uniq))
-            masks = uniq.tolist()
+    rows.columns[j] is. Only the h <= 64 nonzero columns are coded (more
+    raise InternalError): bit c of row i's code is bit i of the c-th of
+    them. Codes of up to 16 bits are summed in a dense bincount, wider ones
+    through a 1-D np.unique, each code summing its rows' weights in row
+    order. Each code is then lifted to its mask, bit c to bit j of the c-th
+    nonzero column, one byte at a time; the lift keeps the codes' order, and
+    is the identity when those columns are 0..h-1."""
+    live = [j for j, column in enumerate(rows.columns) if column]
+    h = len(live)
+    if h > 64:
+        raise InternalError(f"{h} nonzero columns do not fit a 64-bit row code")
+    dtype = np.uint8 if h <= 8 else np.uint16 if h <= 16 else np.uint64
+    code = np.zeros(rows.k, dtype=dtype)
+    for c, j in enumerate(live):
+        code |= rows.column(j).view(np.uint8).astype(dtype, copy=False) << c
+    if h <= 16:
+        present = np.flatnonzero(np.bincount(code, minlength=256))
+        sums = np.bincount(code, weights=weights, minlength=256)[present]
+        masks = present.tolist()
     else:
-        planes = np.zeros(((n + 7) // 8, rows.k), dtype=np.uint8)
-        for j in range(n):
-            planes[j >> 3] |= rows.column(j).view(np.uint8) << (j & 7)
-        uniq, inv = np.unique(planes.T, axis=0, return_inverse=True)
-        sums = np.bincount(inv.ravel(), weights=weights, minlength=len(uniq))
-        masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
+        uniq, inv = np.unique(code, return_inverse=True)
+        sums = np.bincount(inv, weights=weights, minlength=len(uniq))
+        masks = uniq.tolist()
+    if live != list(range(h)):
+        tables = [[0] for _ in range(0, h, 8)]  # tables[b][x]: the mask of the code byte b holding x
+        for c, j in enumerate(live):
+            tables[c >> 3] += [t | 1 << j for t in tables[c >> 3]]
+        masks = [sum(table[c >> 8 * b & 255] for b, table in enumerate(tables)) for c in masks]
     for mask, s in zip(masks, sums.tolist()):
         acc[mask] = acc.get(mask, 0.0) + s
 

@@ -358,7 +358,7 @@ def percolation_cluster_distribution(
     if not (0.0 <= density <= 1.0):
         raise InputError(f"density {density} outside [0,1]")
     uniform = make_graph(graph.vertex_count, [(u, v, density) for u, v, _ in graph.edges])
-    (law,) = _enumerated_law(uniform, enum_cap, [_cluster_rows(graph, root)])
+    (law,) = _enumerated_law(uniform, enum_cap, [_cluster_rows(graph, root)], [root])
     return law
 
 
@@ -382,12 +382,13 @@ def verify_mcdiarmid(graph: Graph, root: int, enum_cap: int = DEFAULT_ENUM_CAP) 
     root under an unbiased orientation and the law of the root's percolation
     cluster at density 1/2. Expected to be 0.
 
-    Both laws are read from one enumeration of the unbiased copy of the
-    graph: a block's rows are orientations for the one law and open-edge
-    sets for the other, each of weight 2^-m."""
+    Both laws are read from one enumeration of the root's component in the
+    unbiased copy of the graph: a block's rows are orientations for the one
+    law and open-edge sets for the other, each of weight 2^-m for the m
+    edges of the component."""
     unbiased = make_graph(graph.vertex_count, [(u, v, 0.5) for u, v, _ in graph.edges])
     readers = [_reach_rows(unbiased, root), _cluster_rows(unbiased, root)]  # root checked before the cap
-    reach_law, cluster_law = _enumerated_law(unbiased, enum_cap, readers)
+    reach_law, cluster_law = _enumerated_law(unbiased, enum_cap, readers, [root])
     return total_variation(reach_law, cluster_law)
 
 
@@ -433,7 +434,7 @@ def alm_linusson_covariance(
     ev_a = EventExpr.connection(a, s)  # a -> s
     ev_b = EventExpr.connection(s, b)  # s -> b
     if mode == "exact":
-        p_a, p_b, p_ab = _enumerated_probs(graph, [ev_a, ev_b, ev_a & ev_b], enum_cap)
+        (p_a, p_b, p_ab), _ = _enumerated_probs(graph, [ev_a, ev_b, ev_a & ev_b], enum_cap)
         return AlmLinussonResult(n, p_ab - p_a * p_b, p_a, p_b, p_ab, "exact")
     if mode == "montecarlo":
         _check_sample_counts(samples, streams, minimum=2)

@@ -215,6 +215,24 @@ class TestEnumerationCheckOrder:
         assert captured.err.startswith("input error: ")
 
 
+class TestEnumerationCut:
+    """mcdiarmid enumerates the root's component only, and refuses a law
+    over more than 64 vertices before the first block."""
+
+    def test_an_isolated_root_of_a_70_vertex_graph(self, capsys):
+        code, out = run_json(capsys, ["mcdiarmid", "--random", "n=70,m=20", "--seed", "0", "--root", "7"])
+        assert code == 0
+        assert out["tv_distance"] == 0.0 and out["edge_count"] == 20
+
+    def test_a_65_vertex_path_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "path65.edges"
+        path.write_text("".join(f"{i} {i + 1} 0.5\n" for i in range(64)))
+        assert main(["mcdiarmid", "--graph", str(path), "--root", "0", "--enum-cap", "64"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ") and "65 vertices" in captured.err
+
+
 class TestMonteCarlo:
     def test_estimate_and_determinism(self, capsys, tri_path):
         argv = [

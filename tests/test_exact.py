@@ -29,10 +29,11 @@ from orientprob import (
     random_graph,
     reachable_set_distribution,
 )
-from orientprob import exact
+from orientprob import InternalError, exact, inequalities, verify_mcdiarmid
 from orientprob.exact import _accumulate_row_masses, _enumeration_chunks, _frontier, _neighbors_of
-from orientprob.graphs import PackedBatch
+from orientprob.graphs import Orientation, PackedBatch, reachable_set
 from conftest import oracle_event_prob
+from test_graphs import graph_with_isolated_vertices
 
 
 def conn(s, t):
@@ -72,7 +73,7 @@ class TestBruteForce:
             assert brute_force_prob(g, ev).probability == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 64, 65, 70])
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 64])
 def test_accumulate_row_masses_matches_plain_loop(n):
     rng = np.random.default_rng(n)
     rows = rng.random((500, n)) < rng.random(n)
@@ -91,6 +92,12 @@ def test_accumulate_row_masses_matches_plain_loop(n):
     assert got[(1 << n) - 1] == 0.0
 
 
+def test_accumulate_row_masses_refuses_more_than_64_nonzero_columns():
+    rows = PackedBatch((0,) + (1,) * 65, 1)
+    with pytest.raises(InternalError, match="65 nonzero columns"):
+        _accumulate_row_masses(rows, np.ones(1), {})
+
+
 class TestEnumerationBlocks:
     """Small block sizes, so that small graphs run the multi-block path."""
 
@@ -101,7 +108,8 @@ class TestEnumerationBlocks:
         pairs = list(itertools.combinations(range(5), 2))[:m]
         g = make_graph(5, [(u, v, 0.1 + 0.08 * i) for i, (u, v) in enumerate(pairs)])
         # the weights buffer is reused between blocks, so each is copied before the next
-        blocks = [(batch, weights.copy()) for batch, weights in _enumeration_chunks(g)]
+        chunks = _enumeration_chunks(g, exact.DEFAULT_ENUM_CAP, 0b11111)
+        blocks = [(batch, weights.copy()) for batch, weights in chunks]
         k = 1 << min(m, chunk_bits)
         assert len(blocks) == (1 << m) // k
         for j, (batch, weights) in enumerate(blocks):
@@ -123,7 +131,7 @@ class TestEnumerationBlocks:
         expected = np.ones(1)
         for _, _, p in g.edges:
             expected = np.concatenate((expected * (1.0 - p), expected * p))
-        _, weights = next(_enumeration_chunks(g))
+        _, weights = next(_enumeration_chunks(g, exact.DEFAULT_ENUM_CAP, 0b1111111))
         assert weights.tobytes() == expected.tobytes()
 
     def test_one_block_yields_its_low_weights_without_a_second_buffer(self):
@@ -131,7 +139,7 @@ class TestEnumerationBlocks:
         g = make_graph(7, [(u, v, 0.3) for u, v in pairs])
         tracemalloc.start()
         try:
-            _, weights = next(_enumeration_chunks(g))
+            _, weights = next(_enumeration_chunks(g, exact.DEFAULT_ENUM_CAP, 0b1111111))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,6 +236,132 @@ class TestEnumerationCheckOrder:
     def test_brute_force_prob_checks_the_cap_first(self, triangle):
         with pytest.raises(ResourceLimitError, match="m=3.*2"):
             brute_force_prob(triangle, conn(0, 9), enum_cap=2)
+
+
+def _scalar_law(graph, reach):
+    """The law of the vertex set reach(bits) over all orientations bits of
+    the graph, one orientation at a time."""
+    law = {}
+    for bits in itertools.product((0, 1), repeat=graph.edge_count):
+        w = 1.0
+        for bit, (_, _, p) in zip(bits, graph.edges):
+            w *= p if bit else 1.0 - p
+        mask = sum(1 << v for v in reach(bits))
+        law[mask] = law.get(mask, 0.0) + w
+    return law
+
+
+def _cluster(graph, bits, root):
+    """The root's component when bit e tells whether edge e is open."""
+    seen, stack = {root}, [root]
+    while stack:
+        x = stack.pop()
+        for bit, (u, v, _) in zip(bits, graph.edges):
+            y = v if x == u else u if x == v else None
+            if bit and y is not None and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+class TestEnumerationCut:
+    """Enumeration sums only the orientations of the edges of the components
+    that hold the sources; every other edge's two weights sum to 1."""
+
+    @pytest.mark.parametrize("n, m, root, edges", [(70, 20, 7, 0), (40, 24, 3, 9)])
+    def test_mcdiarmid_enumerates_the_roots_component_only(self, monkeypatch, n, m, root, edges):
+        rows = []
+        chunks = exact._enumeration_chunks
+
+        def counted(*args):
+            for batch, weights in chunks(*args):
+                rows.append(batch.k)
+                yield batch, weights
+
+        monkeypatch.setattr(exact, "_enumeration_chunks", counted)
+        assert verify_mcdiarmid(random_graph(n, edge_count=m, seed=0), root) == 0.0
+        assert rows == [1 << edges]
+
+    def test_blocks_of_a_part_hold_zero_columns_and_unit_factors_elsewhere(self, monkeypatch):
+        monkeypatch.setattr(exact, "_CHUNK_BITS", 2)
+        # edges 0, 2 and 4 join the part {0, 1, 2, 3}; edges 1 and 3 join 4, 5 and 6
+        g = make_graph(7, [(0, 1, 0.2), (4, 5, 0.3), (1, 2, 0.4), (5, 6, 0.6), (2, 3, 0.7)])
+        part_edges = [0, 2, 4]
+        blocks = [(batch, weights.copy()) for batch, weights in _enumeration_chunks(g, 3, 0b1111)]
+        assert len(blocks) == 2
+        for j, (batch, weights) in enumerate(blocks):
+            bits = batch.unpack()
+            assert batch.shape == (4, 5) and batch.columns[1] == batch.columns[3] == 0
+            for i in range(4):
+                row = 4 * j + i
+                w = 1.0
+                for b, e in enumerate(part_edges):
+                    w *= g.edges[e].bias if (row >> b) & 1 else 1.0 - g.edges[e].bias
+                assert [bits[i, e] for e in part_edges] == [bool((row >> b) & 1) for b in range(3)]
+                assert weights[i] == w
+        with pytest.raises(ResourceLimitError, match="m=3.*2"):
+            _enumeration_chunks(g, 2, 0b1111)
+
+    def test_states_visited_counts_the_orientations_enumerated(self):
+        g = make_graph(6, [(0, 1, 0.3), (1, 2, 0.6), (3, 4, 0.5), (4, 5, 0.5)])
+        assert brute_force_prob(g, conn(0, 2)).states_visited == 4
+        assert brute_force_prob(g, conn(0, 2) & conn(3, 5)).states_visited == 16
+        assert brute_force_prob(g, conn(0, 4)).probability == 0.0
+        # the cap counts the edges enumerated, not the graph's
+        assert brute_force_prob(g, conn(0, 2), enum_cap=2).probability == 0.3 * 0.6
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graph_with_isolated_vertices(max_edges=9), data=st.data())
+    def test_cut_enumeration_agrees_with_the_oracle_and_the_scalar_path(self, g, data):
+        biases = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.edge_count, max_size=g.edge_count))
+        g = make_graph(g.vertex_count, [(u, v, p) for (u, v, _), p in zip(g.edges, biases)])
+        s, t, a, b = (data.draw(st.integers(0, g.vertex_count - 1)) for _ in range(4))
+        expected = oracle_event_prob(g, [({s}, t), ({s, a}, b)])
+        got = brute_force_prob(g, conn(s, t) & conn({s, a}, b)).probability
+        assert got == pytest.approx(expected, abs=1e-12)
+        at_density = make_graph(g.vertex_count, [(u, v, 0.3) for u, v, _ in g.edges])
+        for law, scalar in [
+            (reachable_set_distribution(g, {s, a}),
+             _scalar_law(g, lambda bits: reachable_set(g, Orientation(bits), {s, a}))),
+            (percolation_cluster_distribution(g, s, 0.3),
+             _scalar_law(at_density, lambda bits: _cluster(g, bits, s))),
+        ]:
+            assert set(law.mass) <= set(scalar)
+            for mask, mass in scalar.items():
+                assert law.mass.get(mask, 0.0) == pytest.approx(mass, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graph_with_isolated_vertices(max_edges=12), data=st.data())
+    def test_unbiased_laws_equal_the_uncut_laws_exactly(self, g, data):
+        n = g.vertex_count
+        root = data.draw(st.integers(0, n - 1))
+        readers = [exact._reach_rows(g, root), inequalities._cluster_rows(g, root)]
+        cut = exact._enumerated_law(g, exact.DEFAULT_ENUM_CAP, readers, [root])
+        uncut = exact._enumerated_law(g, exact.DEFAULT_ENUM_CAP, readers, range(n))
+        assert [law.mass for law in cut] == [law.mass for law in uncut]
+        assert verify_mcdiarmid(g, root) == 0.0
+
+
+class TestLawRefusal:
+    """A set law is coded in 64 bits a row, so sources whose components hold
+    more than 64 vertices are refused before the first block."""
+
+    def test_a_65_vertex_path_is_refused_at_once(self):
+        path = path_graph(65)
+        with pytest.raises(ResourceLimitError, match="65 vertices"):
+            reachable_set_distribution(path, 0, enum_cap=64)
+        with pytest.raises(ResourceLimitError, match="65 vertices"):
+            percolation_cluster_distribution(path, 64, 0.5, enum_cap=64)
+        with pytest.raises(ResourceLimitError, match="65 vertices"):
+            verify_mcdiarmid(path, 0, enum_cap=64)
+        with pytest.raises(ResourceLimitError, match="m=64.*24"):
+            verify_mcdiarmid(path, 0)
+
+    def test_65_isolated_sources_are_refused(self):
+        with pytest.raises(ResourceLimitError, match="65 vertices"):
+            reachable_set_distribution(make_graph(65, []), range(65))
+        law = reachable_set_distribution(make_graph(70, []), range(64))
+        assert law.mass == {(1 << 64) - 1: 1.0}
 
 
 class TestOutNeighborhood:
@@ -956,7 +1090,7 @@ class TestNegativeCaps:
 
     def test_negative_enum_cap(self, triangle):
         with pytest.raises(InputError, match="enum_cap"):
-            _enumeration_chunks(triangle, -1)
+            _enumeration_chunks(triangle, -1, 0b111)
         with pytest.raises(InputError, match="enum_cap"):
             brute_force_prob(triangle, conn(0, 9), enum_cap=-1)
         with pytest.raises(ResourceLimitError, match="cap 0"):

@@ -342,9 +342,11 @@ class TestOnePassChecks:
     event from one enumeration, equal bit for bit to separate passes."""
 
     # (chunk_bits or None for the default, n, m, seed): row codes of one
-    # byte, two bytes, np.unique and byte rows; m = 19-21 runs 2-8 blocks
+    # byte, two bytes and np.unique (17, 19, 8); m = 19-21 runs 2-8 blocks;
+    # the root's component is cut from the graph at (17, 20, 6), where the
+    # root is isolated, and at (5, 3, 2), (9, 5, 3), (17, 9, 4) and (70, 6, 5)
     MCDIARMID_CASES = [(None, 1, 0, 0), (None, 3, 1, 1), (None, 6, 5, 2), (None, 9, 10, 3), (None, 8, 18, 4),
-                       (None, 9, 19, 5), (None, 17, 20, 6), (None, 8, 21, 7)] + [
+                       (None, 9, 19, 5), (None, 17, 20, 6), (None, 8, 21, 7), (None, 17, 19, 8)] + [
                       (bits, n, m, seed) for bits in (2, 3)
                       for n, m, seed in [(1, 0, 0), (3, 1, 1), (5, 3, 2), (9, 5, 3), (17, 9, 4), (70, 6, 5)]]
 
@@ -359,7 +361,7 @@ class TestOnePassChecks:
         cluster = percolation_cluster_distribution(g, root, 0.5)
         assert verify_mcdiarmid(g, root) == total_variation(reach, cluster)
         readers = [exact._reach_rows(unbiased, root), inequalities._cluster_rows(unbiased, root)]
-        laws = exact._enumerated_law(unbiased, exact.DEFAULT_ENUM_CAP, readers)
+        laws = exact._enumerated_law(unbiased, exact.DEFAULT_ENUM_CAP, readers, [root])
         assert [list(law.mass.items()) for law in laws] == [list(reach.mass.items()), list(cluster.mass.items())]
 
     @pytest.mark.parametrize("chunk_bits, n", [(None, 3), (None, 4), (None, 5), (None, 6), (2, 3), (2, 4), (2, 5),
