@@ -22,7 +22,7 @@ from .exact import (
     exact_joint_prob,
 )
 from .generators import complete_graph, random_graph
-from .graphs import EventExpr, Graph, _check_bias, parse_graph
+from .graphs import _SEED_LIMIT, EventExpr, Graph, _check_bias, parse_graph
 from .grid import GridSpec, GridReachStats, _check_witness_pair, build_grid, find_nonmonotonicity_witness, grid_reach_stats
 from .inequalities import (
     HYPOTHESIS_TOL,
@@ -176,12 +176,15 @@ def _check_args(args: argparse.Namespace) -> None:
     if not getattr(args, "tolerance", 0.0) >= 0.0:  # NaN fails every comparison
         raise InputError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     at_least_zero("seed", "trials")
+    if args.seed is not None and args.seed >= _SEED_LIMIT:  # RandomStream's rule: a seed is one 64-bit key word
+        raise InputError(f"--seed must be below 2^64, got {args.seed}")
     if args.command == "verify-t2":  # --random-sets when given, else --max-set-size, with the policy's message
         args.policy = (SourceSetPolicy.random(args.random_sets, args.seed) if args.random_sets is not None
                        else SourceSetPolicy.up_to_size(args.max_set_size))
     sampled = args.command in ("mc", "mc-slack", "grid-stats") or getattr(args, "mode", None) == "montecarlo"
     if sampled:
-        slack = args.command in ("mc-slack", "verify-t1", "alm-linusson")  # batch means need two samples
+        # one sample gives every slack 0 and its standard error 0
+        slack = args.command in ("mc-slack", "verify-t1", "alm-linusson")
         _check_sample_counts(args.samples, args.streams, minimum=2 if slack else 1)
     if args.command == "witness" and args.budget < 1:
         raise InputError("budget must be >= 1")

@@ -19,7 +19,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InputError
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64  # a Philox key word
 _PACK_BLOCK_BITS = 1 << 18
 
 
@@ -235,9 +235,11 @@ class RandomStream:
     def __init__(self, seed: int, index: int = 0):
         if seed < 0 or index < 0:
             raise InputError("seed and stream index must be nonnegative")
+        if seed >= _SEED_LIMIT or index >= _SEED_LIMIT:
+            raise InputError(f"seed and stream index must be below 2^64, got {seed} and {index}")
         self.seed = seed
         self.index = index
-        key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+        key = np.array([seed, index], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
 
     def uniforms(self, shape: int | tuple[int, ...]) -> np.ndarray:

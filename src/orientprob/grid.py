@@ -152,7 +152,7 @@ def grid_reach_stats(
     tot_radius = 0
     max_radius = 0
     boundary_hits = 0
-    for _, batch in blocks:
+    for batch in blocks:
         reach = reach_many(graph, batch, origin)
         sizes = reach.unpack().sum(axis=1)
         tot_size += int(sizes.sum())

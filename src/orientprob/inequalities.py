@@ -28,7 +28,7 @@ from .graphs import (
     _reach_packed,
     make_graph,
 )
-from .montecarlo import _check_sample_counts, _slack, paired_slacks, sampled_event_columns
+from .montecarlo import _check_sample_counts, _slack, paired_slacks, sampled_counts
 from .exact import (
     DEFAULT_ENUM_CAP,
     DEFAULT_MEMO_CAP,
@@ -269,10 +269,11 @@ class SourceSetPolicy:
                 for combo in itertools.combinations(range(vertex_count), k):
                     yield frozenset(combo)
         elif self.kind == "random":
-            # nonempty subsets sampled with replacement, each equally likely
+            # nonempty subsets sampled with replacement, each equally likely;
+            # a graph with no vertices has none
             stream = RandomStream(self.seed, 0)
             full = (1 << vertex_count) - 1
-            for _ in range(self.count):
+            for _ in range(self.count if vertex_count else 0):
                 mask = _nonempty_mask(stream, full)
                 yield frozenset(v for v in range(vertex_count) if (mask >> v) & 1)
         else:
@@ -281,10 +282,10 @@ class SourceSetPolicy:
 
 def _nonempty_mask(stream: RandomStream, full: int) -> int:
     """A uniform nonempty subset of full's bits: whole 64-bit words cut to
-    full, drawn again when empty. An empty full gives the empty set."""
+    full, drawn again when empty."""
     words = -(-full.bit_length() // 64)
     mask = 0
-    while full and not mask:
+    while not mask:
         mask = sum(int(w) << (64 * i) for i, w in enumerate(stream.words(words))) & full
     return mask
 
@@ -338,11 +339,12 @@ def _verify_triples_montecarlo(
     graph: Graph, samples: int, seed: int, streams: int
 ) -> Iterator[VerificationReport]:
     """One block per source vertex s of paired slack estimates, ranked like
-    the exact blocks. An estimate certifies nothing, so none is flagged."""
+    the exact blocks, every source read on the same orientations. An
+    estimate certifies nothing, so none is flagged."""
     n = graph.vertex_count
-    for s in range(n):
-        events = [EventExpr.connection(s, t) for t in range(n)]
-        _, est, se = paired_slacks(sampled_event_columns(graph, events, samples, seed, streams))
+    groups = [[EventExpr.connection(s, t) for t in range(n)] for s in range(n)]
+    for s, counts in enumerate(sampled_counts(graph, groups, samples, seed, streams)):
+        _, est, se = paired_slacks(counts, samples)
         yield _slack_block(
             _outside(est, (s,)), None,
             lambda a, b: f"(s={s}, a={a}, b={b}) slack {est[a, b]:.6f} +- {1.96 * se[a, b]:.6f}", None,
@@ -438,7 +440,8 @@ def alm_linusson_covariance(
         return AlmLinussonResult(n, p_ab - p_a * p_b, p_a, p_b, p_ab, "exact")
     if mode == "montecarlo":
         _check_sample_counts(samples, streams, minimum=2)
-        joint, est, se = paired_slacks(sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams))
+        (counts,) = sampled_counts(graph, [[ev_a, ev_b]], samples, seed, streams)
+        joint, est, se = paired_slacks(counts, samples)
         p_a, p_b, p_ab = float(joint[0, 0]), float(joint[1, 1]), float(joint[0, 1])
         return AlmLinussonResult(n, float(est[0, 1]), p_a, p_b, p_ab, "montecarlo", samples, float(se[0, 1]), seed)
     raise InputError(f"unknown mode {mode!r}")

@@ -33,7 +33,6 @@ _WORD_BITS = 64
 _UNIFORM_BITS = 53  # bits of a double uniform in [0, 1)
 _ONE = 1 << _UNIFORM_BITS
 _ALL_LANES = np.uint64((1 << _WORD_BITS) - 1)
-_SLACK_BATCHES = 100  # nonoverlapping batches behind a slack's standard error
 
 
 def _thresholds(biases: np.ndarray) -> np.ndarray:
@@ -136,16 +135,12 @@ def stream_sample_counts(samples: int, streams: int) -> list[int]:
     return [(samples - t + streams - 1) // streams for t in range(min(samples, streams))]
 
 
-def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iterator[tuple[list[slice], PackedBatch]]:
-    """The seeded orientations as blocks (rows, batch): one slice of global
-    sample indices per draw of the block, in draw order, and the block's
-    packed directions. Sample i is drawn from stream i mod streams at
-    counter i div streams, so a draw of c samples from stream t that starts
-    at its counter d holds the samples t + (d .. d+c-1) * streams, the slice
-    slice(t + d * streams, t + (d + c) * streams, streams). A block holds at most
-    _CHUNK_ROWS rows, and no more than _CHUNK_WORDS raw words or words of
-    lanes, but at least one word of samples. It takes the streams in order
-    and may join the end of one to the start of the next. Every draw but a
+def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iterator[PackedBatch]:
+    """The seeded orientations as packed blocks, the streams in order: sample
+    i is drawn from stream i mod streams at counter i div streams, and a
+    block may join the end of one stream to the start of the next. A block
+    holds at most _CHUNK_ROWS rows, and no more than _CHUNK_WORDS raw words
+    or words of lanes, but at least one word of samples. Every draw but a
     stream's last holds whole words, so the block size never changes the
     samples. grid._doubling_blocks draws stream 0 by the same rules in
     doubling blocks for the witness search; a change to the order here must
@@ -159,8 +154,7 @@ def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iter
     words_per_sample_word = max(planes, graph.edge_count, 1)
     rows_per_chunk = _WORD_BITS * max(1, min(_CHUNK_ROWS // _WORD_BITS, _CHUNK_WORDS // words_per_sample_word))
 
-    def blocks() -> Iterator[tuple[list[slice], PackedBatch]]:
-        rows: list[slice] = []
+    def blocks() -> Iterator[PackedBatch]:
         draws: list[tuple[RandomStream, int]] = []
         room = rows_per_chunk
         for t, n_t in enumerate(stream_sample_counts(samples, streams)):
@@ -172,50 +166,47 @@ def _sampled_blocks(graph: Graph, samples: int, seed: int, streams: int) -> Iter
                     c -= c % _WORD_BITS  # the stream goes on after this draw
                 if c:
                     draws.append((stream, c))
-                    rows.append(slice(t + done * streams, t + (done + c) * streams, streams))
                     done += c
                     room -= c
                 if not c or not room:
-                    yield rows, draw_orientations(graph, draws)
-                    rows, draws, room = [], [], rows_per_chunk
+                    yield draw_orientations(graph, draws)
+                    draws, room = [], rows_per_chunk
         if draws:
-            yield rows, draw_orientations(graph, draws)
+            yield draw_orientations(graph, draws)
 
     return blocks()
 
 
-def sampled_event_columns(
+def sampled_counts(
     graph: Graph,
-    events: Iterable[EventExpr],
+    groups: Sequence[Sequence[EventExpr]],
     samples: int,
     seed: int,
     streams: int = 1,
-) -> np.ndarray:
-    """Indicator matrix of shape (samples, len(events)), rows in global
-    sample order. All events are evaluated on the same orientations. Each
-    draw's rows of a block are written through its slice of sample indices."""
-    events = list(events)
+) -> list[np.ndarray]:
+    """For each group of k events, the (k, k) counts of the samples in which
+    both events i and j hold, with each event's own count on the diagonal.
+    Every group is read on the same orientations, drawn once. The counts are
+    exact integers in float64, far below 2^53, so neither the block size nor
+    the block order changes them."""
     blocks = _sampled_blocks(graph, samples, seed, streams)
-    for ev in events:
-        ev.validate_for(graph)
-    out = np.zeros((samples, len(events)), dtype=bool)
-    for rows, batch in blocks:
-        block = event_indicator_many(graph, batch, events)
-        at = 0
-        for run in rows:
-            part = out[run]
-            part[:] = block[at : at + len(part)]
-            at += len(part)
-    return out
+    for group in groups:
+        for ev in group:
+            ev.validate_for(graph)
+    counts = [np.zeros((len(group), len(group))) for group in groups]
+    for batch in blocks:
+        for group, total in zip(groups, counts):
+            x = event_indicator_many(graph, batch, group).astype(np.float64)
+            total += x.T @ x
+    return counts
 
 
 def estimate_event(
     graph: Graph, event: EventExpr, samples: int, seed: int, streams: int = 1
 ) -> EstimateReport:
     """Mean of the event indicator over seeded sampled orientations."""
-    cols = sampled_event_columns(graph, [event], samples, seed, streams)
-    hits = int(cols[:, 0].sum())
-    est = hits / samples
+    (counts,) = sampled_counts(graph, [[event]], samples, seed, streams)
+    est = int(counts[0, 0]) / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     ci = (est - 1.96 * se, est + 1.96 * se)
     return EstimateReport(est, samples, se, ci, seed, streams)
@@ -227,31 +218,26 @@ def _slack(joint: np.ndarray) -> np.ndarray:
     return joint - p[..., :, None] * p[..., None, :]
 
 
-def paired_slacks(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Paired estimates of P(i and j) - P(i)P(j) for every pair of columns of
-    a (samples, k) indicator matrix, all events read on the same samples.
+def paired_slacks(counts: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paired estimates of P(i and j) - P(i)P(j) for every pair of events
+    from their (k, k) joint counts over the same samples.
 
     Returns three (k, k) arrays: the joint count_ij/n, with each P(i) on its
-    diagonal; the slacks read from it; and their standard errors from the
-    same slack on min(_SLACK_BATCHES, samples) nonoverlapping batches.
-    The full counts are the sums of the batches' counts. Counts are exact
-    integers in float64, far below 2^53, so every estimate is the same
-    float as the scalar expression count_ij/n - (count_i/n)(count_j/n).
+    diagonal; the slacks read from it, each the same float as the scalar
+    count_ij/n - (count_i/n)(count_j/n); and their standard errors
+    sqrt(Var(uv) / n), where u = x_i - P(i) and v = x_j - P(j) on a sample
+    and E[uv] is the slack. E[(uv)^2] is summed over the four cells of the
+    pair's 2x2 table, so a constant event gives exactly 0.
     """
-    samples = cols.shape[0]
-    x = cols.astype(np.float64)
-    b = min(_SLACK_BATCHES, samples)
-    bounds = [i * samples // b for i in range(b + 1)]
-    counts = np.stack([x[lo:hi].T @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    joint = counts.sum(axis=0) / samples
+    joint = counts / samples
     est = _slack(joint)
-    if b < 2:
-        return joint, est, np.zeros_like(est)
-    batch_slacks = _slack(counts / np.diff(bounds)[:, None, None])
-    # each pair's batch values contiguous, so the reduction runs over them as
-    # np.std over one pair's batch values would and gives the same floats
-    per_pair = np.ascontiguousarray(batch_slacks.transpose(1, 2, 0))
-    return joint, est, np.std(per_pair, axis=-1, ddof=1) / math.sqrt(b)
+    p = np.diagonal(joint)
+    pi, pj = p[:, None], p[None, :]
+    qi, qj = 1.0 - pi, 1.0 - pj
+    p10, p01 = pi - joint, pj - joint
+    p00 = qi - p01
+    mean_square = joint * (qi * qj) ** 2 + p10 * (qi * pj) ** 2 + p01 * (pi * qj) ** 2 + p00 * (pi * pj) ** 2
+    return joint, est, np.sqrt(np.maximum(mean_square - est**2, 0.0) / samples)
 
 
 def estimate_slack(
@@ -263,14 +249,11 @@ def estimate_slack(
     seed: int,
     streams: int = 1,
 ) -> tuple[float, float]:
-    """Paired estimate of P(S->a and S->b) - P(S->a)P(S->b).
-
-    All three indicators come from the same sampled orientations. The
-    standard error is computed from nonoverlapping batch means.
-    """
+    """Paired estimate of P(S->a and S->b) - P(S->a)P(S->b) and its standard
+    error, all three indicators read on the same sampled orientations."""
     _check_sample_counts(samples, streams, minimum=2)
     ev_a = EventExpr.connection(sources, target_a)
     ev_b = EventExpr.connection(sources, target_b)
-    cols = sampled_event_columns(graph, [ev_a, ev_b], samples, seed, streams)
-    _, est, se = paired_slacks(cols)
+    (counts,) = sampled_counts(graph, [[ev_a, ev_b]], samples, seed, streams)
+    _, est, se = paired_slacks(counts, samples)
     return float(est[0, 1]), float(se[0, 1])

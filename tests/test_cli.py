@@ -117,6 +117,12 @@ class TestVerify:
         assert code == 0
         assert out["min_slack"] >= -1e-9
 
+    def test_t2_on_no_vertices_checks_nothing_with_either_policy(self, capsys):
+        # a graph with no vertices has no nonempty source set to draw or list
+        random = run_json(capsys, "verify-t2 --complete 0 --random-sets 2 --seed 1".split())
+        assert random == run_json(capsys, "verify-t2 --complete 0 --max-set-size 3".split())
+        assert random[0] == 0 and random[1]["instances_checked"] == 0
+
     def test_fourfunc(self, capsys, tri_path):
         code, out = run_json(
             capsys, ["fourfunc", "--graph", tri_path, "--source", "0", "--a", "1", "--b", "2"]
@@ -256,6 +262,12 @@ class TestMonteCarlo:
         )
         assert code == 0
         assert abs(out["slack"] - 0.109375) <= 4 * max(out["std_error"], 1e-3)
+
+    def test_small_runs_report_a_positive_standard_error(self, capsys):
+        code, out = run_json(capsys, "mc-slack --complete 6 --source 0 --a 1 --b 2 --samples 50 --seed 7".split())
+        assert code == 0 and out["slack"] != 0.0 and out["std_error"] > 0.0
+        code, out = run_json(capsys, "alm-linusson --n 5 --mode montecarlo --samples 60 --seed 2".split())
+        assert code == 0 and out["covariance"] != 0.0 and out["std_error"] > 0.0
 
 
 class TestAlmLinusson:
@@ -824,6 +836,11 @@ class TestFlagRules:
         ("fourfunc --complete 4 --source 0 --a 1 --b 2 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
         ("mcdiarmid --complete 4 --root 0 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
         ("alm-linusson --n 4 --seed -1", 3, "input error: --seed must be >= 0, got -1"),
+        # a seed is one 64-bit key word, so 2^64 would draw what seed 0 draws
+        ("mc --complete 5 --source 0 --target 1 --samples 1000 --seed 18446744073709551616", 3,
+         "input error: --seed must be below 2^64, got 18446744073709551616"),
+        ("verify-t2 --complete 4 --random-sets 2 --seed 18446744073709551616", 3,
+         "input error: --seed must be below 2^64, got 18446744073709551616"),
         # flags the run would not read
         ("verify-t1 --complete 4 --samples 0", 2, "usage error: --samples applies to --mode montecarlo only"),
         ("verify-t1 --complete 4 --streams 0", 2, "usage error: --streams applies to --mode montecarlo only"),

@@ -96,7 +96,7 @@ class TestReachStats:
         origin %= grid.graph.vertex_count
         dist = grid.chebyshev_distances(origin)
         radii = np.concatenate([(reach_many(grid.graph, batch, origin).unpack() * dist).max(axis=1)
-                                for _, batch in _sampled_blocks(grid.graph, samples, seed, streams)])
+                                for batch in _sampled_blocks(grid.graph, samples, seed, streams)])
         got = grid_reach_stats(grid, origin, samples, seed, streams)
         assert (got.mean_radius, got.max_radius) == (int(radii.sum()) / samples, int(radii.max()))
 
@@ -259,11 +259,10 @@ class TestWitnessSearch:
 
         def scalar_scan():
             # one reachable_set per flip, over the same orientations in the same
-            # order, drawn as one block; each draw's slice expanded into the
-            # global index of every sample
-            for rows, batch in _sampled_blocks(graph, budget, seed, 1):
-                indices = [i for run in rows for i in range(run.start, run.stop, run.step)]
-                for r, row in zip(indices, batch.unpack()):
+            # order; on one stream a sample's global index is its running row offset
+            offset = 0
+            for batch in _sampled_blocks(graph, budget, seed, 1):
+                for r, row in enumerate(batch.unpack(), start=offset):
                     orientation = Orientation(tuple(int(x) for x in row))
                     if b not in reachable_set(graph, orientation, a):
                         continue
@@ -271,7 +270,8 @@ class TestWitnessSearch:
                         if orientation.bits[e] != desired and b not in reachable_set(
                             graph, orientation.with_flipped(e), a
                         ):
-                            return WitnessSearchResult(Witness(orientation, e, flip, a, b), int(r) + 1, budget, seed)
+                            return WitnessSearchResult(Witness(orientation, e, flip, a, b), r + 1, budget, seed)
+                offset += batch.k
             return WitnessSearchResult(None, budget, budget, seed)
 
         expected = scalar_scan()

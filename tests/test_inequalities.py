@@ -246,9 +246,13 @@ class TestTheoremSweeps:
         assert all(s for s in sets)
         assert 850 <= min(shares) and max(shares) <= 1150, shares
 
-    def test_random_policy_on_no_vertices_gives_the_empty_set(self):
-        # no nonempty set exists; the sweep then refuses the empty source set
-        assert list(SourceSetPolicy.random(2, seed=1).source_sets(0)) == [frozenset()] * 2
+    def test_random_policy_on_no_vertices_gives_no_set(self):
+        # no nonempty set exists, so the sweep checks nothing, as it does
+        # for the sets up to any size
+        assert list(SourceSetPolicy.random(2, seed=1).source_sets(0)) == []
+        empty = make_graph(0, [])
+        assert verify_theorem_2(empty, SourceSetPolicy.random(2, seed=1)) == \
+            verify_theorem_2(empty, SourceSetPolicy.up_to_size(3))
 
     def test_montecarlo_sweep_reports_no_false_violations(self, triangle):
         rep = verify_theorem_1(triangle, mode="montecarlo", samples=20_000, seed=5, streams=4)

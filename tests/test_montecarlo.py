@@ -26,7 +26,7 @@ from orientprob.montecarlo import (
     _thresholds,
     draw_orientations,
     paired_slacks,
-    sampled_event_columns,
+    sampled_counts,
     stream_sample_counts,
 )
 
@@ -35,12 +35,14 @@ def conn(s, t):
     return EventExpr.connection(s, t)
 
 
-def batch_means_std_error(batch_values: np.ndarray) -> float:
-    """Standard error of the mean from nonoverlapping batch means."""
-    b = len(batch_values)
-    if b < 2:
-        return 0.0
-    return float(np.std(batch_values, ddof=1) / math.sqrt(b))
+def stream_counts(graph, events, samples, seed, streams):
+    """The sum over streams t of x_t.T @ x_t, where x_t is the indicator
+    matrix of stream t's samples drawn alone."""
+    total = np.zeros((len(events), len(events)))
+    for t, n_t in enumerate(stream_sample_counts(samples, streams)):
+        x = event_indicator_many(graph, draw_orientations(graph, [(RandomStream(seed, t), n_t)]), events)
+        total += x.T.astype(np.int64) @ x.astype(np.int64)
+    return total
 
 
 class TestStreamCounts:
@@ -54,9 +56,10 @@ class TestStreamCounts:
     def test_streams_past_the_last_sample_are_not_listed(self, triangle):
         assert len(stream_sample_counts(5, 10**6)) == 5
         events = [conn(0, 1), conn(0, 1) & conn(0, 2)]
-        at_samples = sampled_event_columns(triangle, events, 37, seed=4, streams=37)
-        at_million = sampled_event_columns(triangle, events, 37, seed=4, streams=10**6)
+        (at_samples,) = sampled_counts(triangle, [events], 37, seed=4, streams=37)
+        (at_million,) = sampled_counts(triangle, [events], 37, seed=4, streams=10**6)
         assert np.array_equal(at_million, at_samples)
+        assert np.array_equal(at_samples, stream_counts(triangle, events, 37, 4, 37))
 
 
 class TestEstimateEvent:
@@ -107,17 +110,17 @@ class TestEstimateEvent:
         a, b = box.id_of(0, 2), box.id_of(7, 4)
 
         def run():
-            cols = sampled_event_columns(g, events, 500, seed=3, streams=3)
-            return (cols, grid_reach_stats(build_grid(GridSpec(4, 3, 0.6)), 0, 500, seed=3, streams=2),
+            counts = sampled_counts(g, [events], 500, seed=3, streams=3)
+            return (counts, grid_reach_stats(build_grid(GridSpec(4, 3, 0.6)), 0, 500, seed=3, streams=2),
                     [find_nonmonotonicity_witness(box, a, b, "toward-high", budget=10_000, seed=s) for s in (3, 24)])
 
-        cols, stats, witnesses = run()
+        counts, stats, witnesses = run()
         assert all(w.found for w in witnesses)
         assert witnesses[1].attempts == 332  # past the blocks of 64 and 128 rows
         for cap in (1, 1000, 2000):  # from one word of 64 samples per block to several
             monkeypatch.setattr(mc, "_CHUNK_WORDS", cap)
-            capped_cols, capped_stats, capped_witnesses = run()
-            assert np.array_equal(capped_cols, cols)
+            capped_counts, capped_stats, capped_witnesses = run()
+            assert np.array_equal(capped_counts, counts)
             assert capped_stats == stats
             assert capped_witnesses == witnesses
         monkeypatch.undo()
@@ -190,44 +193,39 @@ class TestEstimateSlack:
         )
         assert hits >= 38  # at least 95 percent of seeded runs
 
+    def test_small_runs_have_honest_standard_errors(self, triangle):
+        # every sample counts toward the standard error, so 50 samples give
+        # intervals that cover the exact slack about 95 percent of the time
+        runs = [estimate_slack(triangle, [0], 1, 2, samples=50, seed=seed) for seed in range(200)]
+        assert all(se > 0 for _, se in runs)
+        assert sum(abs(slack - 0.109375) <= 1.96 * se for slack, se in runs) >= 170
 
-@pytest.mark.parametrize("samples, batches", [(1, 100), (7, 100), (250, 100), (1001, 100), (999, 7)])
-def test_paired_slacks_match_the_scalar_batch_loop(samples, batches, monkeypatch):
-    monkeypatch.setattr("orientprob.montecarlo._SLACK_BATCHES", batches)
+
+@pytest.mark.parametrize("samples", [1, 7, 250, 1001, 999])
+def test_paired_slacks_match_a_scalar_loop(samples):
     rng = np.random.default_rng(samples)
     cols = rng.random((samples, 4)) < [0.0, 0.3, 0.8, 1.0]
-    joint, est, se = paired_slacks(cols)
-    b = min(batches, samples)
-    bounds = [i * samples // b for i in range(b + 1)]
+    x = cols.astype(np.float64)
+    joint, est, se = paired_slacks(x.T @ x, samples)
     for i in range(4):
         for j in range(4):
             ci, cj = cols[:, i], cols[:, j]
             cij = ci & cj
-            expected = int(cij.sum()) / samples - (int(ci.sum()) / samples) * (int(cj.sum()) / samples)
-            batch_slacks = np.empty(b)
-            for k in range(b):
-                lo, hi = bounds[k], bounds[k + 1]
-                nk = hi - lo
-                batch_slacks[k] = (
-                    int(cij[lo:hi].sum()) / nk
-                    - (int(ci[lo:hi].sum()) / nk) * (int(cj[lo:hi].sum()) / nk)
-                )
+            p_i, p_j = int(ci.sum()) / samples, int(cj.sum()) / samples
             assert joint[i, j] == int(cij.sum()) / samples
-            assert est[i, j] == expected
-            assert se[i, j] == batch_means_std_error(batch_slacks)
+            assert est[i, j] == int(cij.sum()) / samples - p_i * p_j
+            uv = (ci - p_i) * (cj - p_j)
+            assert math.isclose(se[i, j], np.std(uv) / math.sqrt(samples), rel_tol=1e-9, abs_tol=0.0)
 
 
-class TestSampledColumns:
-    def test_global_order_is_stream_independent_per_contract(self, triangle):
+class TestSampledCounts:
+    def test_stream_zero_alone_is_streams_one(self, triangle):
         # sample i comes from stream (i mod streams) at counter (i div streams):
-        # the first samples of each stream appear interleaved at the start
-        cols4 = sampled_event_columns(triangle, [conn(0, 1)], 40, seed=5, streams=4)
-        cols_single = [
-            sampled_event_columns(triangle, [conn(0, 1)], 10, seed=5, streams=1)
-            for _ in range(1)
-        ]
-        # stream 0's own sequence (streams=1 uses only stream 0)
-        assert (cols4[0::4, 0] == cols_single[0][:, 0]).all()
+        # on 4 streams, stream 0's 10 samples are the first 10 of streams=1
+        (counts4,) = sampled_counts(triangle, [[conn(0, 1)]], 40, seed=5, streams=4)
+        (counts_single,) = sampled_counts(triangle, [[conn(0, 1)]], 10, seed=5, streams=1)
+        assert np.array_equal(counts4, stream_counts(triangle, [conn(0, 1)], 40, 5, 4))
+        assert np.array_equal(counts_single, stream_counts(triangle, [conn(0, 1)], 10, 5, 1))
 
     @pytest.mark.parametrize("samples, streams, block_words", [
         (1000, 1, None),
@@ -237,9 +235,9 @@ class TestSampledColumns:
         (5, 8, None),  # streams 5-7 come after the last sample and draw none
         (70_001, 2, None),  # past the first block of 65,536 rows
     ])
-    def test_every_stream_lands_on_its_own_rows(self, monkeypatch, samples, streams, block_words):
-        # rows t, t + streams, t + 2*streams, ... hold stream t's orientations
-        # in order, read from the stream drawn alone
+    def test_counts_are_the_sum_over_streams(self, monkeypatch, samples, streams, block_words):
+        # each group's counts are the sum of x_t.T @ x_t over the streams t,
+        # x_t read from stream t drawn alone
         import orientprob.montecarlo as mc
 
         g = random_graph(6, edge_count=9, biases="uniform", seed=5)
@@ -247,17 +245,20 @@ class TestSampledColumns:
         if block_words is not None:
             planes = int(_plane_counts(_thresholds(g.bias_array)).sum())
             monkeypatch.setattr(mc, "_CHUNK_WORDS", block_words * max(planes, g.edge_count))
-        cols = sampled_event_columns(g, events, samples, seed=11, streams=streams)
-        for t in range(streams):
-            n_t = len(range(t, samples, streams))
-            expected = np.zeros((0, len(events)), dtype=bool)
-            if n_t:
-                expected = event_indicator_many(g, draw_orientations(g, [(RandomStream(11, t), n_t)]), events)
-            assert np.array_equal(cols[t::streams], expected)
+        groups = [events, events[1:], [conn(4, 2)]]
+        counts = sampled_counts(g, groups, samples, seed=11, streams=streams)
+        for group, got in zip(groups, counts):
+            assert np.array_equal(got, stream_counts(g, group, samples, 11, streams))
+        # the blocks hold the streams' draws one after another, in order
+        blocks = list(mc._sampled_blocks(g, samples, 11, streams))
+        alone = [draw_orientations(g, [(RandomStream(11, t), n_t)]).unpack()
+                 for t, n_t in enumerate(stream_sample_counts(samples, streams))]
+        assert np.array_equal(np.concatenate([batch.unpack() for batch in blocks]), np.concatenate(alone))
         if 1 < streams < samples:
             # some block holds the draws of two streams
-            blocks = mc._sampled_blocks(g, samples, 11, streams)
-            assert any(len({run.start % streams for run in rows}) > 1 for rows, _ in blocks)
+            ends = np.cumsum([batch.k for batch in blocks])
+            stream_ends = np.cumsum([len(rows) for rows in alone])[:-1]
+            assert any(lo < end < hi for lo, hi in zip([0, *ends[:-1]], ends) for end in stream_ends)
 
 
 DRAW_BIASES = [0.0, 1.0, 0.5, 0.25, 0.75, 0.1, 1 / 3, 0.6, 2.0**-60, 1 - 2.0**-53]

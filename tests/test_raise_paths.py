@@ -98,6 +98,10 @@ class TestGraphRecords:
             EventExpr(())
         with pytest.raises(InputError, match="nonnegative"):
             RandomStream(-1)
+        RandomStream((1 << 64) - 1, (1 << 64) - 1)
+        for seed, index in ((1 << 64, 0), (0, 1 << 64)):
+            with pytest.raises(InputError, match="below 2\\^64"):
+                RandomStream(seed, index)
         with pytest.raises(InputError, match="width"):
             reach_many(triangle, PackedBatch.pack(np.zeros((2, 2), dtype=bool)), 0)
 
